@@ -1,11 +1,11 @@
 """Automorphism groups of combinatorics, by exhaustive backtracking.
 
-The search kernel (compiled when available, pure Python otherwise) prunes
-by per-line point-size signatures and pairwise point sizes, so the full
-groups of the catalog structures enumerate in well under the budgeted
-time. Group-theoretic claims are verified on the enumerated elements, not
-assumed: closure, inverses, and the 2x2 matrix model over F_3 for the
-9-line extended MacLane structure.
+The search kernel (``zarpair._kernel``) prunes by per-line point-size
+signatures and pairwise point sizes, so the full groups of the catalog
+structures enumerate in well under the budgeted time. Group-theoretic
+claims are verified on the enumerated elements, not assumed: closure,
+inverses, and the 2x2 matrix model over F_3 for the 9-line extended
+MacLane structure.
 """
 
 from __future__ import annotations

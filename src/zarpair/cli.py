@@ -58,6 +58,19 @@ def _read_json(path: str):
         return json.load(handle)
 
 
+class _InvalidStructure(Exception):
+    """A well-formed combinatorics that breaks an incidence axiom (exit 1)."""
+
+
+def _load_valid_combinatorics(path: str) -> Combinatorics:
+    """Read a combinatorics file and check both incidence axioms."""
+    comb = Combinatorics.from_obj(_read_json(path))
+    problems = comb.validate().messages()
+    if problems:
+        raise _InvalidStructure(f"{path}: invalid combinatorics: {problems[0]}")
+    return comb
+
+
 def _write_json(obj, path: Optional[str]) -> None:
     text = json.dumps(obj, indent=2) + "\n"
     if path is None or path == "-":
@@ -167,7 +180,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_aut(args) -> int:
-    comb = Combinatorics.from_obj(_read_json(args.combinatorics))
+    comb = _load_valid_combinatorics(args.combinatorics)
     group = enumerate_automorphisms(comb)
     obj: dict = {"order": group.order}
     if args.stats:
@@ -179,7 +192,7 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_inner_cyclic(args) -> int:
-    comb = Combinatorics.from_obj(_read_json(args.combinatorics))
+    comb = _load_valid_combinatorics(args.combinatorics)
     char = Character.from_obj(_read_json(args.character), comb)
     i, j, k = _parse_cycle_arg(args.cycle)
     cycle = triangle_cycle(comb, i, j, k)
@@ -213,8 +226,8 @@ def _cmd_glue(args) -> int:
 
 
 def _cmd_glue_comb(args) -> int:
-    left = Combinatorics.from_obj(_read_json(args.left))
-    right = Combinatorics.from_obj(_read_json(args.right))
+    left = _load_valid_combinatorics(args.left)
+    right = _load_valid_combinatorics(args.right)
     _write_json(glue_combinatorics(left, right).to_obj(), args.output)
     return 0
 
@@ -263,6 +276,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
+    except _InvalidStructure as exc:
+        print(f"zarpair: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, OSError, RuntimeError, json.JSONDecodeError) as exc:
         print(f"zarpair: error: {exc}", file=sys.stderr)
         return 2

@@ -149,7 +149,18 @@ class Combinatorics:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Combinatorics":
-        return cls(obj["lines"], obj["points"])
+        """Read the file form; a malformed object raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("combinatorics must be a JSON object")
+        lines, points = obj.get("lines"), obj.get("points")
+        if not isinstance(lines, list) or not isinstance(points, list):
+            raise ValueError("combinatorics needs list-valued 'lines' and 'points'")
+        for p in points:
+            if not isinstance(p, list) or not all(
+                isinstance(i, int) and not isinstance(i, bool) for i in p
+            ):
+                raise ValueError(f"point {p!r} is not a list of line indices")
+        return cls(lines, points)
 
     # -- protocol ----------------------------------------------------------
 

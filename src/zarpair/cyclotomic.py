@@ -334,9 +334,14 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<z>z)|(?P<op>[-+*^]))")
 def parse_cyclo(order: int, text: str) -> CycloNum:
     """Parse the coefficient grammar: signed rational polynomials in ``z``.
 
+    Exponents are reduced mod ``order`` as they are read (exact, since
+    z^order = 1), so a huge exponent costs no more than a small one.
+
     >>> parse_cyclo(3, "1/2*z - 3").coeffs
     (Fraction(-3, 1), Fraction(1, 2))
     """
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
     pos = 0
     tokens: list[tuple[str, str]] = []
     while pos < len(text):
@@ -386,7 +391,7 @@ def parse_cyclo(order: int, text: str) -> CycloNum:
                 i += 1
                 if i >= len(tokens) or tokens[i][0] != "num" or "/" in tokens[i][1]:
                     raise ValueError(f"bad exponent in cyclotomic literal {text!r}")
-                exponent = int(tokens[i][1])
+                exponent = int(tokens[i][1]) % order
                 i += 1
         elif not has_coeff:
             raise ValueError(f"expected term in cyclotomic literal {text!r}")

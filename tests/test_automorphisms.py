@@ -1,4 +1,4 @@
-"""Automorphism groups: catalog orders, matrix model, kernel agreement."""
+"""Automorphism groups: catalog orders, matrix model, kernel against brute force."""
 
 import itertools
 import random
@@ -7,7 +7,7 @@ import time
 import pytest
 
 from genutil import random_combinatorics
-from zarpair import _autkernel_py, _kernel
+from zarpair._kernel import search_line_maps
 from zarpair.automorphisms import (
     compose_perms,
     copy_preserving_subgroup,
@@ -176,30 +176,101 @@ class TestPermHelpers:
         assert cycle_notation((2, 3, 1)) == "(1 2 3)"
 
 
-class TestKernelTwins:
-    def test_backends_agree_on_catalog(self):
+def _zero_based(comb):
+    return [tuple(i - 1 for i in p) for p in comb.points]
+
+
+def _carries(perm, src, dst):
+    """Whether the line permutation maps the point set src onto dst."""
+    target = {frozenset(p) for p in dst}
+    return len(src) == len(target) and all(
+        frozenset(perm[a] for a in p) in target for p in src
+    )
+
+
+def _brute_force_maps(n, src, dst):
+    """Every permutation of 0..n-1 carrying src onto dst, by enumeration."""
+    return [
+        perm for perm in itertools.permutations(range(n)) if _carries(perm, src, dst)
+    ]
+
+
+def _with_doubles(n, multiple):
+    """The given multiple points plus a double point for every other pair."""
+    covered = {pair for p in multiple for pair in itertools.combinations(p, 2)}
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return list(multiple) + [pair for pair in pairs if pair not in covered]
+
+
+def _small_structures():
+    rng = random.Random(2024)
+    return [random_combinatorics(rng, max_lines=7) for _ in range(30)]
+
+
+class TestKernelOracle:
+    """The search kernel against an enumeration of all line permutations."""
+
+    def test_catalog_maps_are_exactly_the_automorphisms(self):
+        for comb in (maclane_combinatorics(), extended_maclane_explicit()):
+            n, pts = comb.n_lines, _zero_based(comb)
+            assert search_line_maps(n, pts, pts, True) == _brute_force_maps(n, pts, pts)
+        # 15! permutations are out of reach: check each map directly, and
+        # that the maps form a group of the order the paper gives.
+        comb = rybnikov_explicit()
+        pts = _zero_based(comb)
+        maps = search_line_maps(comb.n_lines, pts, pts, True)
+        assert len(maps) == len(set(maps)) == 144
+        assert all(_carries(perm, pts, pts) for perm in maps)
+        closed = set(maps)
+        assert all(tuple(p[i] for i in q) in closed for p in maps for q in maps)
+
+    def test_find_all_matches_brute_force(self):
+        for comb in _small_structures():
+            n, pts = comb.n_lines, _zero_based(comb)
+            assert search_line_maps(n, pts, pts, True) == _brute_force_maps(n, pts, pts)
+
+    def test_find_first_is_a_brute_force_map(self):
+        for comb in _small_structures():
+            n, pts = comb.n_lines, _zero_based(comb)
+            first = search_line_maps(n, pts, pts, False)
+            assert len(first) == 1 and first[0] in _brute_force_maps(n, pts, pts)
         for comb in (
+            maclane_combinatorics(),
             extended_maclane_explicit(),
             rybnikov_explicit(),
-            maclane_combinatorics(),
         ):
-            pts = [tuple(i - 1 for i in p) for p in comb.points]
-            pure = _autkernel_py.search_line_maps(comb.n_lines, pts, pts, True)
-            via_dispatch = _kernel.search_line_maps(comb.n_lines, pts, pts, True)
-            assert pure == via_dispatch
+            pts = _zero_based(comb)
+            (first,) = search_line_maps(comb.n_lines, pts, pts, False)
+            assert _carries(first, pts, pts)
 
-    def test_backends_agree_on_random_structures(self):
-        rng = random.Random(2024)
-        for _ in range(40):
-            comb = random_combinatorics(rng)
-            pts = [tuple(i - 1 for i in p) for p in comb.points]
-            pure = _autkernel_py.search_line_maps(comb.n_lines, pts, pts, True)
-            dispatched = _kernel.search_line_maps(comb.n_lines, pts, pts, True)
-            assert pure == dispatched
-
-    def test_find_first_agrees(self):
-        comb = rybnikov_explicit()
-        pts = [tuple(i - 1 for i in p) for p in comb.points]
-        assert _autkernel_py.search_line_maps(
-            comb.n_lines, pts, pts, False
-        ) == _kernel.search_line_maps(comb.n_lines, pts, pts, False)
+    def test_two_structures_match_brute_force(self):
+        rng = random.Random(7)
+        structures = _small_structures()
+        pairs = []
+        for comb in structures:
+            perm = list(range(1, comb.n_lines + 1))
+            rng.shuffle(perm)
+            pairs.append((comb, apply_line_permutation(comb, perm)))
+        # Same line count and point sizes, but the two triple points share
+        # a line in one structure and are disjoint in the other.
+        labels = [f"L{i}" for i in range(1, 7)]
+        shared = Combinatorics(labels, _with_doubles(6, [(1, 2, 3), (1, 4, 5)]))
+        disjoint = Combinatorics(labels, _with_doubles(6, [(1, 2, 3), (4, 5, 6)]))
+        pairs.append((shared, disjoint))
+        pairs += [
+            (a, b)
+            for a, b in itertools.combinations(structures, 2)
+            if a.n_lines == b.n_lines and len(a.points) == len(b.points)
+        ]
+        found = []
+        for left, right in pairs:
+            n = left.n_lines
+            src, dst = _zero_based(left), _zero_based(right)
+            brute = _brute_force_maps(n, src, dst)
+            assert search_line_maps(n, src, dst, True) == brute
+            first = search_line_maps(n, src, dst, False)
+            assert (first == []) == (brute == [])
+            assert all(m in brute for m in first)
+            found.append(bool(brute))
+        assert all(found[: len(structures)])  # every relabeled copy
+        assert not found[len(structures)]  # the non-isomorphic pair

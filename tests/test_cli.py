@@ -28,6 +28,17 @@ def write(tmp_path, name, obj):
     return str(path)
 
 
+# Point [1, 2] listed twice: lines 1 and 2 meet in two points.
+DOUBLED = {"lines": ["A", "B", "C"], "points": [[1, 2], [1, 2], [1, 3], [2, 3]]}
+
+
+def assert_rejected_as_invalid(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert "point [1, 2] listed more than once" in err
+    assert err.count("\n") == 1
+
+
 @pytest.fixture()
 def seed_file(tmp_path, capsys):
     code, out, _ = invoke(capsys, "catalog", "ledger-seed")
@@ -90,6 +101,23 @@ class TestValidate:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [[1, "x"]],
+            {"lines": ["A", "B"]},
+            {"lines": ["A", "B"], "points": "12"},
+            {"lines": ["A", "B"], "points": [[1, "x"]]},
+            {"lines": ["A", "B"], "points": [3]},
+        ],
+    )
+    def test_malformed_structure_exits_two_in_one_line(self, capsys, tmp_path, obj):
+        code, out, err = invoke(capsys, "validate", write(tmp_path, "bad.json", obj))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("zarpair: error:") and err.count("\n") == 1
+
 
 class TestDerive:
     def test_pipe_equals_catalog_combinatorics(self, capsys, monkeypatch):
@@ -126,8 +154,19 @@ class TestAut:
         assert "id" in obj["elements"]
         assert len(obj["elements"]) == 12
 
+    def test_invalid_structure_exits_one(self, capsys, tmp_path):
+        path = write(tmp_path, "doubled.json", DOUBLED)
+        assert_rejected_as_invalid(*invoke(capsys, "aut", path))
+
 
 class TestInnerCyclic:
+    def test_invalid_structure_exits_one(self, capsys, tmp_path):
+        comb = write(tmp_path, "doubled.json", DOUBLED)
+        char = write(tmp_path, "char.json", {"modulus": 3, "exponents": [0, 1, 2]})
+        assert_rejected_as_invalid(
+            *invoke(capsys, "inner-cyclic", comb, char, "--cycle", "1,2,3")
+        )
+
     def test_catalog_pair_passes_both_modes(self, capsys, tmp_path):
         _, comb_text, _ = invoke(capsys, "catalog", "ext-maclane-comb")
         _, char_text, _ = invoke(capsys, "catalog", "xi-maclane")
@@ -205,6 +244,13 @@ class TestGlue:
         glued = Combinatorics.from_obj(obj)
         _, explicit_text, _ = invoke(capsys, "catalog", "rybnikov-comb")
         assert ordered_equal(glued, Combinatorics.from_obj(json.loads(explicit_text)))
+
+    def test_glue_comb_invalid_structure_exits_one(self, capsys, tmp_path):
+        _, comb_text, _ = invoke(capsys, "catalog", "ext-maclane-comb")
+        good = tmp_path / "cm.json"
+        good.write_text(comb_text, encoding="utf-8")
+        bad = write(tmp_path, "doubled.json", DOUBLED)
+        assert_rejected_as_invalid(*invoke(capsys, "glue-comb", str(good), bad))
 
 
 class TestInvariantCommands:

@@ -40,6 +40,8 @@ class TestConstruction:
             CycloNum(0, [1])
         with pytest.raises(ValueError):
             CycloNum(-3, [1])
+        with pytest.raises(ValueError):
+            parse_cyclo(0, "z^5")
 
     def test_coeff_length_is_phi(self):
         assert len(CycloNum.zeta(12).coeffs) == euler_phi(12) == 4
@@ -146,6 +148,13 @@ class TestGrammar:
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_cyclo(3, bad)
+
+    def test_huge_exponent_reduced_mod_order(self):
+        # exponents far beyond any list that fits in memory
+        for exponent in (10**30 - 1, 10**30):
+            x = parse_cyclo(3, f"z^{exponent}")
+            assert x == CycloNum.zeta(3, exponent % 3)
+            assert parse_cyclo(3, format_cyclo(x)) == x
 
     def test_power_form_preferred(self):
         assert format_cyclo(Z3**2) == "z^2"
