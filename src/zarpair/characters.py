@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .combinatorics import Combinatorics, Cycle
-from .cyclotomic import CycloNum
+from .combinatorics import Combinatorics, Cycle, is_int_list
+from .cyclotomic import CycloNum, check_order
 
 __all__ = ["Character", "is_inner_cyclic_def", "is_inner_cyclic_remark"]
 
@@ -28,8 +28,7 @@ class Character:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
+        check_order(self.modulus, "modulus")
         if len(self.exponents) != self.base.n_lines:
             raise ValueError(
                 f"expected {self.base.n_lines} exponents, got {len(self.exponents)}"
@@ -68,7 +67,13 @@ class Character:
 
     @classmethod
     def from_obj(cls, obj: dict, base: Combinatorics) -> "Character":
-        return cls(base, obj["modulus"], tuple(obj["exponents"]))
+        """Read the file form; a malformed object raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("character must be a JSON object")
+        exponents = obj.get("exponents")
+        if not is_int_list(exponents):
+            raise ValueError(f"exponents {exponents!r} are not a list of integers")
+        return cls(base, obj.get("modulus"), tuple(exponents))
 
 
 def _check_cycle(comb: Combinatorics, cycle: Cycle) -> None:

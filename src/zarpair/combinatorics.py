@@ -30,6 +30,13 @@ __all__ = [
 Vertex = tuple  # ("L", index) or ("P", point-tuple)
 
 
+def is_int_list(value) -> bool:
+    """True for a JSON list of integers (bools, which JSON keeps apart, excluded)."""
+    return isinstance(value, list) and all(
+        isinstance(i, int) and not isinstance(i, bool) for i in value
+    )
+
+
 class NoTriangleError(ValueError):
     """Raised when three lines are concurrent and span no triangle."""
 
@@ -156,9 +163,7 @@ class Combinatorics:
         if not isinstance(lines, list) or not isinstance(points, list):
             raise ValueError("combinatorics needs list-valued 'lines' and 'points'")
         for p in points:
-            if not isinstance(p, list) or not all(
-                isinstance(i, int) and not isinstance(i, bool) for i in p
-            ):
+            if not is_int_list(p):
                 raise ValueError(f"point {p!r} is not a list of line indices")
         return cls(lines, points)
 

@@ -331,6 +331,13 @@ class CycloNum:
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<z>z)|(?P<op>[-+*^]))")
 
 
+def check_order(value, name: str = "order") -> int:
+    """``value`` itself if it is an integer >= 1 (not a bool); else ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def parse_cyclo(order: int, text: str) -> CycloNum:
     """Parse the coefficient grammar: signed rational polynomials in ``z``.
 
@@ -340,8 +347,9 @@ def parse_cyclo(order: int, text: str) -> CycloNum:
     >>> parse_cyclo(3, "1/2*z - 3").coeffs
     (Fraction(-3, 1), Fraction(1, 2))
     """
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
+    check_order(order)
+    if not isinstance(text, str):
+        raise ValueError(f"cyclotomic literal must be a string, got {text!r}")
     pos = 0
     tokens: list[tuple[str, str]] = []
     while pos < len(text):

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Iterable, Literal, Optional
 
 from .characters import Character, is_inner_cyclic_def
-from .combinatorics import Combinatorics, Cycle, triangle_cycle
+from .combinatorics import Combinatorics, Cycle, is_int_list, triangle_cycle
 from .cyclotomic import CycloNum, parse_cyclo
 from .gluing import glue_characters
 
@@ -89,15 +89,22 @@ class LedgerEntry:
 
     @classmethod
     def from_obj(cls, obj: dict, base: Optional[Combinatorics] = None) -> "LedgerEntry":
+        """Read the file form; a malformed object raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"ledger entry {obj!r} is not a JSON object")
+        for key in ("id", "provenance"):
+            if not isinstance(obj.get(key), str):
+                raise ValueError(f"ledger entry needs a string {key!r}")
+        if not is_int_list(obj.get("cycle")) or len(obj["cycle"]) != 3:
+            raise ValueError(f"entry {obj['id']!r}: 'cycle' must be three line indices")
         if base is None:
             if "combinatorics" not in obj:
                 raise ValueError(
-                    f"entry {obj.get('id')!r} carries no combinatorics and none "
+                    f"entry {obj['id']!r} carries no combinatorics and none "
                     "was supplied"
                 )
             base = Combinatorics.from_obj(obj["combinatorics"])
-        modulus = obj["modulus"]
-        character = Character(base, modulus, tuple(obj["exponents"]))
+        character = Character.from_obj(obj, base)
         i, j, k = obj["cycle"]
         cycle = triangle_cycle(base, i, j, k)
         kind, _, citation = obj["provenance"].partition(":")
@@ -105,7 +112,7 @@ class LedgerEntry:
             obj["id"],
             character,
             cycle,
-            parse_cyclo(modulus, obj["value"]),
+            parse_cyclo(character.modulus, obj["value"]),
             kind.strip(),  # type: ignore[arg-type]
             citation.strip(),
         )
@@ -151,8 +158,13 @@ class Ledger:
 
     @classmethod
     def from_obj(cls, obj: list[dict], comb_lookup=None) -> "Ledger":
+        """Read the file form; a malformed object raises ValueError."""
+        if not isinstance(obj, list):
+            raise ValueError("ledger must be a JSON list of entries")
         ledger = cls()
         for entry_obj in obj:
+            if not (isinstance(entry_obj, dict) and isinstance(entry_obj.get("id"), str)):
+                raise ValueError(f"ledger entry {entry_obj!r} has no string 'id'")
             base = None
             if "combinatorics" not in entry_obj and comb_lookup is not None:
                 base = comb_lookup(entry_obj["id"])

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .combinatorics import Combinatorics
-from .cyclotomic import CycloNum, parse_cyclo
+from .cyclotomic import CycloNum, check_order, parse_cyclo
 
 __all__ = [
     "ProjPoint",
@@ -94,29 +94,26 @@ class ProjMap:
         self.rows: tuple[Triple, ...] = tuple(tuple(r) for r in rows)
         if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
             raise ValueError("projective map needs a 3x3 matrix")
+        m = self.rows
+        # adj(M), the transposed cofactors: M @ adj(M) = det(M) * I
+        self._adj: tuple[Triple, ...] = tuple(
+            tuple(
+                m[(r + 1) % 3][(c + 1) % 3] * m[(r + 2) % 3][(c + 2) % 3]
+                - m[(r + 1) % 3][(c + 2) % 3] * m[(r + 2) % 3][(c + 1) % 3]
+                for r in range(3)
+            )
+            for c in range(3)
+        )
         if self.det().is_zero():
             raise ValueError("projective map matrix is singular")
 
     def det(self) -> CycloNum:
-        m = self.rows
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
+        """Row 0 of the matrix times column 0 of its adjugate."""
+        return _dot(self.rows[0], [row[0] for row in self._adj])
 
     def inverse(self) -> "ProjMap":
-        m = self.rows
-        d = self.det()
-        cof = [
-            [
-                m[(r + 1) % 3][(c + 1) % 3] * m[(r + 2) % 3][(c + 2) % 3]
-                - m[(r + 1) % 3][(c + 2) % 3] * m[(r + 2) % 3][(c + 1) % 3]
-                for r in range(3)
-            ]
-            for c in range(3)
-        ]
-        return ProjMap([[cof[r][c] / d for c in range(3)] for r in range(3)])
+        scale = self.det().inverse()
+        return ProjMap([[a * scale for a in row] for row in self._adj])
 
     def compose(self, other: "ProjMap") -> "ProjMap":
         """self after other (matrix product self @ other)."""
@@ -138,12 +135,10 @@ class ProjMap:
 
     def apply_line(self, line: ProjLine) -> ProjLine:
         """Image line: coefficients transform by the inverse matrix (row action),
-        so point-line incidence is preserved."""
-        inv = self.inverse().rows
-        u = line.coeffs
-        new = tuple(
-            u[0] * inv[0][c] + u[1] * inv[1][c] + u[2] * inv[2][c] for c in range(3)
-        )
+        so point-line incidence is preserved. The adjugate is det(M) times the
+        inverse, and ProjLine scales the first nonzero coefficient to 1, so
+        the row product with the adjugate is the same line, with no division."""
+        new = tuple(_dot(line.coeffs, col) for col in zip(*self._adj))
         return ProjLine(line.name, new)  # type: ignore[arg-type]
 
     def __eq__(self, other):
@@ -191,14 +186,17 @@ class Arrangement:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Arrangement":
-        order = obj["cyclotomic_order"]
-        lines = [
-            ProjLine(
-                entry["name"],
-                tuple(parse_cyclo(order, c) for c in entry["coeffs"]),
-            )
-            for entry in obj["lines"]
-        ]
+        """Read the file form; a malformed object raises ValueError."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("lines"), list):
+            raise ValueError("arrangement must be a JSON object with a 'lines' list")
+        order = check_order(obj.get("cyclotomic_order"), "cyclotomic_order")
+        lines = []
+        for entry in obj["lines"]:
+            if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                    and isinstance(entry.get("coeffs"), list)):
+                raise ValueError(f"line {entry!r} needs a 'name' and a 'coeffs' list")
+            coeffs = tuple(parse_cyclo(order, c) for c in entry["coeffs"])
+            lines.append(ProjLine(entry["name"], coeffs))  # type: ignore[arg-type]
         return cls(order, lines)
 
     def __eq__(self, other):

@@ -55,20 +55,14 @@ def random_triangle_safe_combinatorics(
             return comb
 
 
-def fan_inner_cyclic(
-    modulus: int, e: int, shift: int = 1
-) -> tuple[Combinatorics, Character]:
-    """A triangular inner-cyclic pair built by construction.
+def two_fans(k: int, shift: int) -> Combinatorics:
+    """Two fans of k lines through two points of line 1, matched up across
+    line 2 by the identity and across line 3 by a cyclic shift.
 
-    Two fans of k lines through two points of line 1 carry exponents e and
-    -e, where k is the order of e mod the modulus; the fans are matched up
-    across lines 2 and 3 by two everywhere-different pairings so each pair
-    of fan lines meets only once. The cycle on lines 1, 2, 3 then passes
-    both inner-cyclic tests.
+    Both pairings are everywhere different, so each pair of fan lines meets
+    only once. Two such structures with the same k are isomorphic exactly
+    when gcd(shift, k) agrees.
     """
-    k = modulus // math.gcd(e % modulus, modulus)
-    if k < 2:
-        raise ValueError("need an exponent of order at least 2")
     if not 1 <= shift < k:
         raise ValueError(f"shift must be in 1..{k - 1}")
     fan_a = list(range(4, 4 + k))
@@ -87,7 +81,22 @@ def fan_inner_cyclic(
     for pair in combinations(range(1, n + 1), 2):
         if frozenset(pair) not in covered:
             points.append(pair)
-    comb = Combinatorics([f"L{i}" for i in range(1, n + 1)], points)
+    return Combinatorics([f"L{i}" for i in range(1, n + 1)], points)
+
+
+def fan_inner_cyclic(
+    modulus: int, e: int, shift: int = 1
+) -> tuple[Combinatorics, Character]:
+    """A triangular inner-cyclic pair built by construction.
+
+    The two fans of :func:`two_fans` carry exponents e and -e, where k is
+    the order of e mod the modulus. The cycle on lines 1, 2, 3 then passes
+    both inner-cyclic tests.
+    """
+    k = modulus // math.gcd(e % modulus, modulus)
+    if k < 2:
+        raise ValueError("need an exponent of order at least 2")
+    comb = two_fans(k, shift)
     exponents = [0, 0, 0] + [e] * k + [modulus - e] * k
     return comb, Character(comb, modulus, tuple(exponents))
 
@@ -127,13 +136,20 @@ def random_arrangement(rng: random.Random, order: int = 3, max_lines: int = 6) -
     return Arrangement(order, lines)
 
 
-def random_invertible_map(rng: random.Random, order: int = 3) -> ProjMap:
-    """Random invertible 3x3 matrix with small integer entries."""
+def random_invertible_map(
+    rng: random.Random, order: int = 3, rational: bool = True
+) -> ProjMap:
+    """Random invertible 3x3 matrix with small integer entries, or with
+    entries a + b*zeta^e (such as z or 1 - 2z^5) when not ``rational``."""
+
+    def entry() -> CycloNum:
+        if rational:
+            return CycloNum.from_rational(order, rng.randint(-3, 3))
+        root = CycloNum.zeta(order, rng.randrange(order))
+        return root * rng.randint(-2, 2) + rng.randint(-1, 1)
+
     while True:
-        rows = [
-            [CycloNum.from_rational(order, rng.randint(-3, 3)) for _ in range(3)]
-            for _ in range(3)
-        ]
+        rows = [[entry() for _ in range(3)] for _ in range(3)]
         try:
             return ProjMap(rows)
         except ValueError:

@@ -1,12 +1,13 @@
 """Automorphism groups: catalog orders, matrix model, kernel against brute force."""
 
 import itertools
+import math
 import random
 import time
 
 import pytest
 
-from genutil import random_combinatorics
+from genutil import random_combinatorics, two_fans
 from zarpair._kernel import search_line_maps
 from zarpair.automorphisms import (
     compose_perms,
@@ -274,3 +275,15 @@ class TestKernelOracle:
             found.append(bool(brute))
         assert all(found[: len(structures)])  # every relabeled copy
         assert not found[len(structures)]  # the non-isomorphic pair
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_fan_pairs_follow_the_gcd_rule(self, k):
+        # Point sizes and line signatures agree for every shift, so these
+        # pairs reach the kernel's completed-point check; the random
+        # structures above never depend on it.
+        n = 3 + 2 * k
+        for s1, s2 in itertools.combinations_with_replacement(range(1, k), 2):
+            src, dst = _zero_based(two_fans(k, s1)), _zero_based(two_fans(k, s2))
+            maps = search_line_maps(n, src, dst, True)
+            assert bool(maps) == (math.gcd(s1, k) == math.gcd(s2, k)), (s1, s2)
+            assert all(_carries(perm, src, dst) for perm in maps)

@@ -39,6 +39,13 @@ def assert_rejected_as_invalid(code, out, err):
     assert err.count("\n") == 1
 
 
+def assert_malformed(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("zarpair: error:") and err.count("\n") == 1
+
+
 @pytest.fixture()
 def seed_file(tmp_path, capsys):
     code, out, _ = invoke(capsys, "catalog", "ledger-seed")
@@ -112,11 +119,7 @@ class TestValidate:
         ],
     )
     def test_malformed_structure_exits_two_in_one_line(self, capsys, tmp_path, obj):
-        code, out, err = invoke(capsys, "validate", write(tmp_path, "bad.json", obj))
-        assert code == 2
-        assert out == ""
-        assert "Traceback" not in err
-        assert err.startswith("zarpair: error:") and err.count("\n") == 1
+        assert_malformed(*invoke(capsys, "validate", write(tmp_path, "bad.json", obj)))
 
 
 class TestDerive:
@@ -138,6 +141,20 @@ class TestDerive:
         assert code == 0
         derived = Combinatorics.from_obj(json.loads(out.read_text()))
         assert derived.n_lines == 9
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [[1]],
+            {"cyclotomic_order": 3, "lines": [5]},
+            {"cyclotomic_order": 0, "lines": []},
+            {"cyclotomic_order": "3", "lines": []},
+            {"cyclotomic_order": True, "lines": []},
+            {"cyclotomic_order": 3, "lines": [{"name": "L1", "coeffs": [1, 0, 0]}]},
+        ],
+    )
+    def test_malformed_arrangement_exits_two_in_one_line(self, capsys, tmp_path, obj):
+        assert_malformed(*invoke(capsys, "derive", write(tmp_path, "bad.json", obj)))
 
 
 class TestAut:
@@ -203,6 +220,24 @@ class TestInnerCyclic:
         )
         code, _, err = invoke(capsys, "inner-cyclic", str(comb), char, "--cycle", "1,2")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [1],
+            {"modulus": 3, "exponents": 5},
+            {"modulus": 3, "exponents": [0, "x", 0, 0, 0, 0, 0, 0, 0]},
+            {"modulus": "3", "exponents": [0] * 9},
+        ],
+    )
+    def test_malformed_character_exits_two_in_one_line(self, capsys, tmp_path, obj):
+        _, comb_text, _ = invoke(capsys, "catalog", "ext-maclane-comb")
+        comb = tmp_path / "cm.json"
+        comb.write_text(comb_text, encoding="utf-8")
+        char = write(tmp_path, "bad.json", obj)
+        assert_malformed(
+            *invoke(capsys, "inner-cyclic", str(comb), char, "--cycle", "1,2,3")
+        )
 
 
 class TestGlue:
@@ -303,6 +338,28 @@ class TestZariski:
         code, obj, _ = invoke_json(capsys, "zariski", "--ledger", path, "--entry", entry_id)
         assert code == 1
         assert obj["verdict"] == "inconclusive"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [5],
+            {"a": 1},
+            [{"id": ["M+"]}],
+            [
+                {
+                    "id": "M+",
+                    "modulus": 3,
+                    "exponents": [0] * 9,
+                    "cycle": [1, 2, "x"],
+                    "value": "z",
+                    "provenance": "published: test",
+                }
+            ],
+        ],
+    )
+    def test_malformed_ledger_exits_two_in_one_line(self, capsys, tmp_path, obj):
+        path = write(tmp_path, "bad.json", obj)
+        assert_malformed(*invoke(capsys, "zariski", "--ledger", path, "--entry", "M+"))
 
 
 class TestUsage:

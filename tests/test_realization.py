@@ -34,6 +34,17 @@ def m_plus():
     return extended_maclane_realization("+")
 
 
+def lifted(arr, order):
+    return Arrangement(
+        order,
+        [ProjLine(l.name, tuple(c.lift(order) for c in l.coeffs)) for l in arr.lines],
+    )
+
+
+# Integer maps at order 3, and maps with entries such as z or z^5 at 3 and 12.
+MAP_FIELDS = [(3, True), (3, False), (12, False)]
+
+
 class TestIntersect:
     def test_triangle_vertex(self, m_plus):
         # L2: x - abar*y and L3: x - a*y force x = y = 0
@@ -118,9 +129,41 @@ class TestApplyMap:
         assert apply_map(m_plus, identity) == m_plus
 
     def test_inverse_round_trip(self, m_plus):
-        rng = random.Random(17)
-        m = random_invertible_map(rng)
-        assert apply_map(apply_map(m_plus, m), m.inverse()) == m_plus
+        for order, rational in MAP_FIELDS:
+            rng = random.Random(17)
+            m = random_invertible_map(rng, order, rational)
+            arr = lifted(m_plus, order)
+            assert apply_map(apply_map(arr, m), m.inverse()) == arr
+
+    def test_compose_with_inverse_is_identity(self):
+        rng = random.Random(29)
+        for order, rational in MAP_FIELDS:
+            one, zero = CycloNum.one(order), CycloNum.zero(order)
+            identity = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+            for _ in range(5):
+                m = random_invertible_map(rng, order, rational)
+                assert m.compose(m.inverse()).rows == identity
+                assert m.inverse().compose(m).rows == identity
+
+    def test_det_is_multiplicative(self):
+        rng = random.Random(31)
+        for order, rational in MAP_FIELDS:
+            for _ in range(5):
+                m = random_invertible_map(rng, order, rational)
+                n = random_invertible_map(rng, order, rational)
+                assert m.compose(n).det() == m.det() * n.det()
+
+    def test_apply_line_is_the_normalised_row_product_with_the_inverse(self, m_plus):
+        rng = random.Random(37)
+        for order, rational in MAP_FIELDS:
+            m = random_invertible_map(rng, order, rational)
+            inv = m.inverse().rows
+            for line in lifted(m_plus, order).lines:
+                u = line.coeffs
+                row = [u[0] * inv[0][c] + u[1] * inv[1][c] + u[2] * inv[2][c]
+                       for c in range(3)]
+                lead = next(x for x in row if not x.is_zero())
+                assert m.apply_line(line).coeffs == tuple(x / lead for x in row)
 
     def test_diagonal_fixes_coordinate_lines(self):
         arr = Arrangement(
@@ -145,14 +188,16 @@ class TestApplyMap:
             ProjMap([[ONE, ZERO, ZERO], [ONE, ZERO, ZERO], [ZERO, ZERO, ONE]])
 
     def test_incidence_preserved(self, m_plus):
-        rng = random.Random(23)
-        m = random_invertible_map(rng)
-        point = intersect(m_plus.line(2), m_plus.line(4))
-        image = m.apply_point(point)
-        moved = apply_map(m_plus, m)
-        assert image.lies_on(moved.line(2))
-        assert image.lies_on(moved.line(4))
-        assert image.lies_on(moved.line(9))
+        for order, rational in MAP_FIELDS:
+            rng = random.Random(23)
+            m = random_invertible_map(rng, order, rational)
+            arr = lifted(m_plus, order)
+            point = intersect(arr.line(2), arr.line(4))
+            image = m.apply_point(point)
+            moved = apply_map(arr, m)
+            assert image.lies_on(moved.line(2))
+            assert image.lies_on(moved.line(4))
+            assert image.lies_on(moved.line(9))
 
 
 def test_projective_invariance_of_derived_combinatorics():
