@@ -145,7 +145,8 @@ def group_stats(group: AutGroup) -> GroupStats:
     elements = group.elements
     histogram: dict[int, int] = {}
     for p in elements:
-        histogram[perm_order(p)] = histogram.get(perm_order(p), 0) + 1
+        k = perm_order(p)
+        histogram[k] = histogram.get(k, 0) + 1
     center = [
         p
         for p in elements

@@ -84,9 +84,8 @@ def _check_cycle(comb: Combinatorics, cycle: Cycle) -> None:
 def is_inner_cyclic_def(comb: Combinatorics, char: Character, cycle: Cycle) -> bool:
     """Distance formulation: every vertex at distance <= 1 from the cycle
     has extended character value 1."""
+    _check_cycle(comb, cycle)
     graph = comb.incidence_graph()
-    if not cycle.is_cycle_of(graph):
-        raise ValueError("cycle is not a cycle of this incidence graph")
     near = set(cycle.vertices)
     for v in cycle.vertices:
         near |= graph.neighbors(v)

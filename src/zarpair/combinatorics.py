@@ -118,10 +118,6 @@ class Combinatorics:
                 report.multiply_covered_pairs.append(pair)
         return report
 
-    @property
-    def is_valid(self) -> bool:
-        return self.validate().ok
-
     @cached_property
     def _pair_to_point(self) -> dict[tuple[int, int], tuple[int, ...]]:
         table: dict[tuple[int, int], tuple[int, ...]] = {}

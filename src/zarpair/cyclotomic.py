@@ -166,13 +166,6 @@ class CycloNum:
     def one(cls, order: int) -> "CycloNum":
         return cls(order, [Fraction(1)])
 
-    @classmethod
-    def from_poly(cls, order: int, poly: Iterable[Rational] | str) -> "CycloNum":
-        """Build from an unreduced polynomial in zeta (coefficients or text)."""
-        if isinstance(poly, str):
-            return parse_cyclo(order, poly)
-        return cls(order, poly)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "CycloNum | None":
@@ -328,7 +321,12 @@ class CycloNum:
 
 # -- textual grammar ---------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<z>z)|(?P<op>[-+*^]))")
+# One signed term. Every part is optional, so parse_cyclo rejects a match with
+# neither a number nor ``z``, and an unsigned match after the first term.
+_TERM = re.compile(
+    r"\s*(?P<sign>[-+]?)\s*(?:(?P<num>\d+(?:/\d+)?)\s*\*?)?"
+    r"\s*(?:(?P<z>z)(?:\s*\^\s*(?P<exp>\d+))?)?\s*"
+)
 
 
 def check_order(value, name: str = "order") -> int:
@@ -341,8 +339,12 @@ def check_order(value, name: str = "order") -> int:
 def parse_cyclo(order: int, text: str) -> CycloNum:
     """Parse the coefficient grammar: signed rational polynomials in ``z``.
 
-    Exponents are reduced mod ``order`` as they are read (exact, since
-    z^order = 1), so a huge exponent costs no more than a small one.
+    A literal is a sequence of terms ``[sign] [num ["*"]] ["z" ["^" digits]]``,
+    where ``num`` is ``p`` or ``p/q`` and a term has a number, ``z`` or both.
+    Every term after the first needs a sign; whitespace may go between
+    tokens. Exponents are reduced mod ``order`` as they are read (exact,
+    since z^order = 1), so a huge exponent costs no more than a small one.
+    A zero denominator raises ValueError like any other malformed literal.
 
     >>> parse_cyclo(3, "1/2*z - 3").coeffs
     (Fraction(-3, 1), Fraction(1, 2))
@@ -350,61 +352,23 @@ def parse_cyclo(order: int, text: str) -> CycloNum:
     check_order(order)
     if not isinstance(text, str):
         raise ValueError(f"cyclotomic literal must be a string, got {text!r}")
-    pos = 0
-    tokens: list[tuple[str, str]] = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"bad cyclotomic literal {text!r} at position {pos}")
-        pos = m.end()
-        for kind in ("num", "z", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind)))
-                break
-
     raw: dict[int, Fraction] = {}
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = Fraction(1)
-        sign_count = 0
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            sign_count += 1
-            i += 1
-            first = False
-        if sign_count > 1:
-            raise ValueError(f"repeated sign in cyclotomic literal {text!r}")
-        if i >= len(tokens):
-            raise ValueError(f"dangling sign in cyclotomic literal {text!r}")
-        if not first and sign == 1 and tokens[i - 1][1] not in "+-":
-            raise ValueError(f"missing operator in cyclotomic literal {text!r}")
-
-        coeff = Fraction(1)
-        has_coeff = False
-        if tokens[i][0] == "num":
-            coeff = Fraction(tokens[i][1])
-            has_coeff = True
-            i += 1
-            if i < len(tokens) and tokens[i] == ("op", "*"):
-                i += 1
-        exponent = 0
-        if i < len(tokens) and tokens[i][0] == "z":
-            exponent = 1
-            i += 1
-            if i < len(tokens) and tokens[i] == ("op", "^"):
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "num" or "/" in tokens[i][1]:
-                    raise ValueError(f"bad exponent in cyclotomic literal {text!r}")
-                exponent = int(tokens[i][1]) % order
-                i += 1
-        elif not has_coeff:
-            raise ValueError(f"expected term in cyclotomic literal {text!r}")
-        raw[exponent] = raw.get(exponent, Fraction(0)) + sign * coeff
-        first = False
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if not (m["num"] or m["z"]) or (pos and not m["sign"]):
+            raise ValueError(f"bad cyclotomic literal {text!r} at position {pos}")
+        try:
+            coeff = Fraction(m["num"] or 1)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"zero denominator in cyclotomic literal {text!r} at position {pos}"
+            ) from None
+        if m["sign"] == "-":
+            coeff = -coeff
+        exponent = int(m["exp"] or 1) % order if m["z"] else 0
+        raw[exponent] = raw.get(exponent, Fraction(0)) + coeff
+        pos = m.end()
 
     if not raw:
         raise ValueError("empty cyclotomic literal")

@@ -60,7 +60,12 @@ class GluingSpec:
 
 
 def _triangle_vertices(arr: Arrangement) -> tuple[ProjPoint, ProjPoint, ProjPoint]:
-    """Pairwise intersections of the first three lines; error when concurrent."""
+    """Pairwise intersections of the first three lines; error when there are
+    fewer than three lines or they are concurrent."""
+    if arr.n_lines < 3:
+        raise NoTriangleError(
+            f"{arr.n_lines} lines; a triangle to glue along needs three"
+        )
     v12 = intersect(arr.line(1), arr.line(2))
     v23 = intersect(arr.line(2), arr.line(3))
     v13 = intersect(arr.line(1), arr.line(3))

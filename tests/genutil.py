@@ -15,6 +15,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from zarpair.characters import Character
 from zarpair.combinatorics import Combinatorics
 from zarpair.cyclotomic import CycloNum
@@ -154,3 +156,13 @@ def random_invertible_map(
             return ProjMap(rows)
         except ValueError:
             continue
+
+
+# Arbitrary text over the tokens of the coefficient grammar, a stray letter,
+# a space and a tab: mostly malformed, sometimes a literal.
+cyclo_text = st.lists(
+    st.sampled_from(
+        ["z", "^", "*", "+", "-", "/", "0", "1", "2", "3", "9", "12", "x", " ", "\t"]
+    ),
+    max_size=10,
+).map("".join)

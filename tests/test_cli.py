@@ -3,8 +3,14 @@
 import io
 import json
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
+from pathlib import Path
 
 import pytest
+from genutil import cyclo_text
+from hypothesis import example, given, settings, strategies as st
 
 from zarpair.cli import run
 from zarpair.combinatorics import Combinatorics, ordered_equal
@@ -30,6 +36,15 @@ def write(tmp_path, name, obj):
 
 # Point [1, 2] listed twice: lines 1 and 2 meet in two points.
 DOUBLED = {"lines": ["A", "B", "C"], "points": [[1, 2], [1, 2], [1, 3], [2, 3]]}
+
+
+def arrangement(coeff_rows):
+    """The file form of an order-3 arrangement, one line per row of
+    coefficient strings."""
+    return {
+        "cyclotomic_order": 3,
+        "lines": [{"name": f"L{i}", "coeffs": row} for i, row in enumerate(coeff_rows, 1)],
+    }
 
 
 def assert_rejected_as_invalid(code, out, err):
@@ -151,6 +166,7 @@ class TestDerive:
             {"cyclotomic_order": "3", "lines": []},
             {"cyclotomic_order": True, "lines": []},
             {"cyclotomic_order": 3, "lines": [{"name": "L1", "coeffs": [1, 0, 0]}]},
+            arrangement([["1/0", "0", "0"]]),
         ],
     )
     def test_malformed_arrangement_exits_two_in_one_line(self, capsys, tmp_path, obj):
@@ -270,6 +286,10 @@ class TestGlue:
         assert code == 2
         assert "error" in err
 
+    def test_fewer_than_three_lines_exits_two_in_one_line(self, capsys, tmp_path):
+        two = write(tmp_path, "two.json", arrangement([["1", "0", "0"], ["0", "1", "0"]]))
+        assert_malformed(*invoke(capsys, "glue", two, two))
+
     def test_glue_comb(self, capsys, tmp_path):
         _, comb_text, _ = invoke(capsys, "catalog", "ext-maclane-comb")
         path = tmp_path / "cm.json"
@@ -355,6 +375,16 @@ class TestZariski:
                     "provenance": "published: test",
                 }
             ],
+            [
+                {
+                    "id": "M+",
+                    "modulus": 3,
+                    "exponents": [0, 0, 0, 1, 1, 1, 2, 2, 2],
+                    "cycle": [1, 2, 3],
+                    "value": "1/0",
+                    "provenance": "published: test",
+                }
+            ],
         ],
     )
     def test_malformed_ledger_exits_two_in_one_line(self, capsys, tmp_path, obj):
@@ -387,3 +417,39 @@ class TestRoundTrips:
         _, text, _ = invoke(capsys, "catalog", name)
         arr = Arrangement.from_obj(json.loads(text))
         assert json.dumps(arr.to_obj(), indent=2) + "\n" == text
+
+
+# -- fuzzing the file boundary ------------------------------------------------
+
+
+def coeff_rows(coeff):
+    return st.lists(st.lists(coeff, min_size=3, max_size=3), max_size=4)
+
+
+# Text over the grammar's tokens is rarely a literal, so a file built from it
+# alone almost never parses; half the files take only literals and so reach
+# the gluing search.
+literal = st.sampled_from(["0", "1", "-1", "2", "z", "z^2", "1/2*z + 1"])
+arrangements = (coeff_rows(cyclo_text | literal) | coeff_rows(literal)).map(arrangement)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(arrangements, min_size=2, max_size=2))
+@example([arrangement([["1", "0", "0"], ["0", "1", "0"]])] * 2)
+@example([arrangement([["1/0", "0", "0"]])] * 2)
+def test_derive_and_glue_never_escape(objs):
+    """derive on each file and glue on each pair: exit 0, 1 or 2, never a
+    traceback, and an exit of 2 writes one line to stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [write(Path(tmp), f"a{i}.json", obj) for i, obj in enumerate(objs)]
+        argvs = [["derive", p] for p in paths] + [
+            ["glue", "--max-candidates", "2", left, right]
+            for left, right in product(paths, repeat=2)
+        ]
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert_malformed(code, out.getvalue(), err.getvalue())

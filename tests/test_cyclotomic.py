@@ -7,7 +7,8 @@ embedding, which is independent of the reduction path.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from genutil import cyclo_text
+from hypothesis import example, given, strategies as st
 
 from zarpair.cyclotomic import (
     CycloNum,
@@ -26,7 +27,7 @@ def close(x: CycloNum, value: complex, tol: float = 1e-9) -> bool:
 
 class TestConstruction:
     def test_zeta_cubed_is_one(self):
-        assert CycloNum.from_poly(3, [0, 0, 0, 1]) == CycloNum.one(3)
+        assert CycloNum(3, [0, 0, 0, 1]) == CycloNum.one(3)
         assert parse_cyclo(3, "z^3") == CycloNum.one(3)
 
     def test_minimal_polynomial_vanishes(self):
@@ -144,7 +145,9 @@ class TestGrammar:
     def test_parse(self, text, expected):
         assert parse_cyclo(3, text) == expected
 
-    @pytest.mark.parametrize("bad", ["", "z^", "* z", "1 + + 2", "w", "z 2", "1 2"])
+    @pytest.mark.parametrize(
+        "bad", ["", "z^", "* z", "1 + + 2", "w", "z 2", "1 2", "1/0", "z + 3/0*z^2"]
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_cyclo(3, bad)
@@ -231,3 +234,52 @@ def test_format_parse_round_trip(x):
 @given(cyclo_numbers())
 def test_numeric_embedding_tracks_conjugation(x):
     assert abs(x.conjugate().approx() - x.approx().conjugate()) < 1e-9
+
+
+# -- the grammar against an arithmetic oracle ---------------------------------
+
+gaps = st.text(alphabet=" \t", max_size=2)
+
+
+@st.composite
+def literals(draw, order):
+    """A literal built term by term, with its value summed independently of
+    the parser: sign * coefficient * zeta^e per term."""
+    text, value = draw(gaps), CycloNum.zero(order)
+    for i in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(["+", "-"] if i else ["", "+", "-"]))
+        tokens, coeff, exponent = [sign], Fraction(1), 0
+        has_num, has_z = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+        if has_num:
+            p = draw(st.integers(0, 10**6))
+            q = draw(st.none() | st.integers(1, 10**6))
+            tokens.append(str(p) if q is None else f"{p}/{q}")
+            coeff = Fraction(p, q or 1)
+            if draw(st.booleans()):
+                tokens.append("*")
+        if has_z:
+            tokens.append("z")
+            exponent = draw(st.none() | st.integers(0, 10**6))
+            if exponent is None:
+                exponent = 1
+            else:
+                tokens += ["^", str(exponent)]
+        text += "".join(token + draw(gaps) for token in tokens if token)
+        value += (-coeff if sign == "-" else coeff) * CycloNum.zeta(order, exponent)
+    return text, value
+
+
+@given(orders.flatmap(literals))
+def test_parse_matches_term_by_term_sum(case):
+    text, expected = case
+    assert parse_cyclo(expected.order, text) == expected
+
+
+@given(cyclo_text, orders)
+@example("1/0", 3)
+def test_parse_returns_or_raises_value_error(text, order):
+    try:
+        x = parse_cyclo(order, text)
+    except ValueError:
+        return
+    assert isinstance(x, CycloNum) and x.order == order

@@ -114,6 +114,15 @@ class TestCheckGluing:
         with pytest.raises(NoTriangleError):
             check_gluing(spec)
 
+    def test_fewer_than_three_lines_is_an_error(self):
+        two = Arrangement(3, triangle_arrangement().lines[:2])
+        spec = GluingSpec(two, two, identity_map(), shared_count=3)
+        for call in (check_gluing, check_generic):
+            with pytest.raises(NoTriangleError):
+                call(spec)
+        with pytest.raises(NoTriangleError):
+            find_generic_gluing(two, two)
+
 
 class TestCheckGeneric:
     def test_found_gluings_are_generic(self, spec_pp, spec_pm):
