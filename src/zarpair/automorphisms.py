@@ -10,7 +10,7 @@ MacLane structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import lcm
 
@@ -90,17 +90,21 @@ class AutGroup:
 
     base: Combinatorics
     elements: tuple[Perm, ...]
+    _members: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_members", frozenset(self.elements))
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, p: Perm) -> bool:
-        return tuple(p) in set(self.elements)
+        return tuple(p) in self._members
 
     def verify_group_axioms(self) -> None:
         """Identity, closure and inverses, by direct check."""
-        members = set(self.elements)
+        members = self._members
         n = self.base.n_lines
         identity = tuple(range(1, n + 1))
         if identity not in members:

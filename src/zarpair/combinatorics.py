@@ -181,7 +181,9 @@ class IncidenceGraph:
     """Bipartite graph: line vertices ("L", i) joined to point vertices ("P", p)."""
 
     def __init__(self, comb: Combinatorics):
-        self.comb = comb
+        # No reference back to comb: comb caches this graph, and a cycle would
+        # leave both to the cyclic collector instead of freeing them at once.
+        self.n_edges = sum(len(p) for p in comb.points)
         self.line_vertices: tuple[Vertex, ...] = tuple(
             ("L", i) for i in range(1, comb.n_lines + 1)
         )
@@ -197,10 +199,6 @@ class IncidenceGraph:
     @property
     def vertices(self) -> tuple[Vertex, ...]:
         return self.line_vertices + self.point_vertices
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(p) for p in self.comb.points)
 
     def neighbors(self, v: Vertex) -> frozenset:
         return frozenset(self._adj[v])

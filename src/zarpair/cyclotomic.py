@@ -1,9 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Elements are stored in the power basis 1, z, ..., z^(phi(n)-1), reduced
-modulo the n-th cyclotomic polynomial, with big-rational coefficients.
-Equality is structural (same order, same reduced coefficients), so
-"is this value real" is an exact decision, never an approximation.
+An element is integer numerators over one positive denominator in the power
+basis 1, z, ..., z^(phi(n)-1) modulo Phi_n, as ANTIC's ``nf_elem`` (Hart,
+"ANTIC: Algebraic Number Theory In C", 2015). The form is canonical, so
+equality is structural and "is this value real" is an exact decision, never
+an approximation. A per-order table of z^j mod Phi_n reduces every product,
+conjugate and lift, and recognises a root of unity with one lookup.
 
 The textual coefficient grammar used by all file formats lives here too:
 signed rational-coefficient polynomials in the symbol ``z``, e.g. ``"1"``,
@@ -16,6 +18,7 @@ import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -28,104 +31,99 @@ __all__ = [
     "format_cyclo",
 ]
 
-
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
-    result = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def _poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _poly_trim(out)
-
-
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
-
-
-def _poly_divmod(
-    num: Sequence[Fraction], den: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    inv_lead = 1 / den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] * inv_lead
-        if c == 0:
-            continue
-        q[i] = c
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
-    return _poly_trim(q), _poly_trim(num)
+# Largest order of any element, file or character: it bounds the n x phi(n)
+# table an order keeps and the phi(n)^2 cost of a product. 840 = lcm(1..8)
+# admits every order up to 8 and the orders their values lift to.
+MAX_ORDER = 840
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending, monic.
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending, monic.
 
     Computed by the recursive quotient Phi_n = (x^n - 1) / prod Phi_d over
-    proper divisors d of n.
+    proper divisors d of n, each monic, so every division is exact in Z.
 
-    >>> [int(c) for c in cyclotomic_polynomial(3)]
-    [1, 1, 1]
+    >>> cyclotomic_polynomial(3)
+    (1, 1, 1)
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert not rem
+            den = cyclotomic_polynomial(d)
+            deg = len(den) - 1
+            quot = [0] * (len(poly) - deg)
+            for i in range(len(quot) - 1, -1, -1):
+                c = quot[i] = poly[i + deg]
+                for j in range(deg):
+                    poly[i + j] -= c * den[j]
+            assert not any(poly[:deg])
+            poly = quot
     return tuple(poly)
 
 
-def _reduce(order: int, raw: Iterable[Rational]) -> tuple[Fraction, ...]:
-    """Reduce a raw coefficient sequence modulo Phi_order, pad to phi(order)."""
-    phi = euler_phi(order)
-    coeffs = _poly_trim([Fraction(c) for c in raw])
-    if len(coeffs) > phi:
-        _, coeffs = _poly_divmod(coeffs, list(cyclotomic_polynomial(order)))
-    coeffs += [Fraction(0)] * (phi - len(coeffs))
-    return tuple(coeffs)
+def euler_phi(n: int) -> int:
+    """phi(n), the degree of Phi_n."""
+    return len(cyclotomic_polynomial(n)) - 1
+
+
+@lru_cache(maxsize=64)
+def _powers(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row j is z^j mod Phi_n as phi(n) integers, for 0 <= j < n."""
+    phi_n = cyclotomic_polynomial(n)
+    rows, row = [], (1,) + (0,) * (len(phi_n) - 2)
+    for _ in range(n):
+        rows.append(row)
+        top = row[-1]
+        row = tuple(a - top * b for a, b in zip((0,) + row[:-1], phi_n))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=64)
+def _roots(n: int) -> dict[tuple[int, ...], int]:
+    """The numerators of zeta_n^k (over denominator 1), mapped to k."""
+    return {row: k for k, row in enumerate(_powers(n))}
+
+
+def _fold(n: int, raw: Sequence[int]) -> tuple[int, ...]:
+    """Integers indexed by exponent, of any length, reduced mod Phi_n."""
+    rows = _powers(n)
+    phi = len(rows[0])
+    out = list(raw[:phi]) + [0] * (phi - len(raw))
+    for k in range(phi, len(raw)):
+        if raw[k]:
+            out = [a + raw[k] * b for a, b in zip(out, rows[k % n])]
+    return tuple(out)
+
+
+def _substitute(n: int, x: Sequence[int], step: int) -> tuple[int, ...]:
+    """Numerators of x(z^step) in Q(zeta_n)."""
+    raw = [0] * n
+    for j, c in enumerate(x):
+        raw[j * step % n] += c
+    return _fold(n, raw)
+
+
+def _new(order: int, num: Sequence[int], den: int) -> "CycloNum":
+    """The element num / den (den > 0) at ``order``, in canonical form."""
+    g = gcd(den, *num) if den != 1 else 1
+    x = object.__new__(CycloNum)
+    object.__setattr__(x, "order", order)
+    object.__setattr__(x, "_num", tuple(num) if g == 1 else tuple([c // g for c in num]))
+    object.__setattr__(x, "_den", den // g)
+    return x
 
 
 class CycloNum:
-    """An exact element of Q(zeta_n) in canonical reduced form.
+    """An exact element of Q(zeta_n): integer numerators over one denominator.
 
-    Immutable and hashable; arithmetic via the usual operators. Operands
-    must share an order (use :meth:`lift` first); plain ints and Fractions
-    are coerced as rational constants.
+    ``_num`` holds the phi(n) numerators and ``_den`` the positive common
+    denominator; ``coeffs`` gives the quotients as Fractions. Immutable and
+    hashable; arithmetic via the usual operators. Operands must share an
+    order (use :meth:`lift` first); plain ints and Fractions are coerced as
+    rational constants.
 
     >>> z = CycloNum.zeta(3)
     >>> z * z * z == CycloNum.one(3)
@@ -134,29 +132,33 @@ class CycloNum:
     CycloNum(3, '-1')
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_num", "_den")
 
-    def __init__(self, order: int, coeffs: Iterable[Rational]):
-        if order < 1:
-            raise ValueError(f"order must be positive, got {order}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", _reduce(order, coeffs))
+    def __new__(cls, order: int, coeffs: Iterable[Rational]):
+        check_order(order)
+        values = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in values))
+        raw = [c.numerator * (den // c.denominator) for c in values]
+        return _new(order, _fold(order, raw), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNum is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The reduced power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeta(cls, order: int, exponent: int = 1) -> "CycloNum":
         """The root of unity zeta_order ** exponent."""
-        exponent %= order
-        raw = [Fraction(0)] * exponent + [Fraction(1)]
-        return cls(order, raw)
+        return _new(check_order(order), _powers(order)[exponent % order], 1)
 
     @classmethod
     def from_rational(cls, order: int, value: Rational) -> "CycloNum":
-        return cls(order, [Fraction(value)])
+        return cls(order, [value])
 
     @classmethod
     def zero(cls, order: int) -> "CycloNum":
@@ -164,37 +166,42 @@ class CycloNum:
 
     @classmethod
     def one(cls, order: int) -> "CycloNum":
-        return cls(order, [Fraction(1)])
+        return cls(order, [1])
 
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "CycloNum | None":
         if isinstance(other, CycloNum):
             if other.order != self.order:
-                raise ValueError(
-                    f"order mismatch: {self.order} vs {other.order}; lift first"
-                )
+                raise ValueError(f"order mismatch: {self.order} vs {other.order}; lift first")
             return other
         if isinstance(other, (int, Fraction)):
-            return CycloNum.from_rational(self.order, other)
+            num = (other.numerator,) + (0,) * (len(self._num) - 1)
+            return _new(self.order, num, other.denominator)
         return None
+
+    def _combine(self, other: "CycloNum", sign: int) -> "CycloNum":
+        """self + sign * other over the product of the denominators."""
+        da, db = self._den, other._den
+        num = [a * db + sign * b * da for a, b in zip(self._num, other._num)]
+        return _new(self.order, num, da * db)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNum(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.order, [-a for a in self.coeffs])
+        return _new(self.order, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNum(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -206,26 +213,39 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNum(self.order, _poly_mul(self.coeffs, other.coeffs))
+        raw = [0] * (2 * len(self._num) - 1)  # an integer convolution, then a fold
+        for i, c in enumerate(self._num):
+            if c:
+                for j, d in enumerate(other._num, i):
+                    raw[j] += c * d
+        return _new(self.order, _fold(self.order, raw), self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse, by the extended Euclidean algorithm."""
-        if self.is_zero():
+        """Multiplicative inverse, by a fraction-free extended Euclidean algorithm
+        against Phi_n: each remainder r = s * a mod Phi_n is an integer polynomial
+        freed of its content, the last is a constant c, and 1 / (a / d) = d * s / c."""
+        r0, s0, r1, s1 = list(cyclotomic_polynomial(self.order)), [], list(self._num), [1]
+        while r1 and not r1[-1]:
+            r1.pop()
+        if not r1:
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-        # xgcd of self (as a polynomial) with the irreducible Phi_n.
-        r0 = list(cyclotomic_polynomial(self.order))
-        r1 = _poly_trim(list(self.coeffs))
-        s0: list[Fraction] = []
-        s1: list[Fraction] = [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant gcd; divide it out.
-        g = r0[0]
-        return CycloNum(self.order, [c / g for c in s0])
+        while len(r1) > 1:
+            while len(r0) >= len(r1):  # cancel the leading term of r0
+                k, l0, l1 = len(r0) - len(r1), r0[-1], r1[-1]
+                r0 = [l1 * c for c in r0]
+                s0 = [l1 * c for c in s0] + [0] * (len(s1) + k - len(s0))
+                for i, c in enumerate(r1, k):
+                    r0[i] -= l0 * c
+                for i, c in enumerate(s1, k):
+                    s0[i] -= l0 * c
+                while not r0[-1]:
+                    r0.pop()
+            g = gcd(*r0, *s0)
+            r0, s0, r1, s1 = r1, s1, [c // g for c in r0], [c // g for c in s0]
+        d = self._den if r1[0] > 0 else -self._den
+        return _new(self.order, [d * c for c in _fold(self.order, s1)], abs(r1[0]))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -256,41 +276,28 @@ class CycloNum:
     def conjugate(self) -> "CycloNum":
         """Complex conjugation restricted to Q(zeta_n): zeta -> zeta^(n-1)."""
         n = self.order
-        raw = [Fraction(0)] * n
-        for k, c in enumerate(self.coeffs):
-            raw[(n - k) % n] += c
-        return CycloNum(n, raw)
+        return _new(n, _substitute(n, self._num, n - 1), self._den)
 
     def is_real(self) -> bool:
         return self.conjugate() == self
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._num[1:])
 
     def lift(self, new_order: int) -> "CycloNum":
         """The same field element in Q(zeta_new) via zeta_old = zeta_new^(new/old)."""
+        check_order(new_order, "new order")
         if new_order % self.order != 0:
-            raise ValueError(
-                f"new order {new_order} is not a multiple of {self.order}"
-            )
-        ratio = new_order // self.order
-        raw = [Fraction(0)] * (len(self.coeffs) * ratio)
-        for k, c in enumerate(self.coeffs):
-            raw[k * ratio] = c
-        return CycloNum(new_order, raw)
+            raise ValueError(f"new order {new_order} is not a multiple of {self.order}")
+        step = new_order // self.order
+        return _new(new_order, _substitute(new_order, self._num, step), self._den)
 
     def as_root_of_unity(self) -> int | None:
         """The exponent k with self == zeta_n^k, or None if self is no such power."""
-        power = CycloNum.one(self.order)
-        z = CycloNum.zeta(self.order)
-        for k in range(self.order):
-            if self == power:
-                return k
-            power = power * z
-        return None
+        return _roots(self.order).get(self._num) if self._den == 1 else None
 
     def approx(self) -> complex:
         """Floating-point embedding (reporting only, never used in logic)."""
@@ -301,16 +308,16 @@ class CycloNum:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CycloNum.from_rational(self.order, other)
+            other = self._coerce(other)
         if not isinstance(other, CycloNum):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order, self._num, self._den) == (other.order, other._num, other._den)
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self._num, self._den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self._num)
 
     def __str__(self):
         return format_cyclo(self)
@@ -330,9 +337,11 @@ _TERM = re.compile(
 
 
 def check_order(value, name: str = "order") -> int:
-    """``value`` itself if it is an integer >= 1 (not a bool); else ValueError."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    """``value`` itself if it is an int (not a bool) in 1..MAX_ORDER; else ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= MAX_ORDER:
+        raise ValueError(
+            f"{name} must be an integer from 1 to {MAX_ORDER}, got {value!r}"
+        )
     return value
 
 
@@ -352,7 +361,9 @@ def parse_cyclo(order: int, text: str) -> CycloNum:
     check_order(order)
     if not isinstance(text, str):
         raise ValueError(f"cyclotomic literal must be a string, got {text!r}")
-    raw: dict[int, Fraction] = {}
+    if not text:
+        raise ValueError("empty cyclotomic literal")
+    raw: list[Rational] = [0] * order
     pos = 0
     while pos < len(text):
         m = _TERM.match(text, pos)
@@ -367,18 +378,9 @@ def parse_cyclo(order: int, text: str) -> CycloNum:
         if m["sign"] == "-":
             coeff = -coeff
         exponent = int(m["exp"] or 1) % order if m["z"] else 0
-        raw[exponent] = raw.get(exponent, Fraction(0)) + coeff
+        raw[exponent] += coeff
         pos = m.end()
-
-    if not raw:
-        raise ValueError("empty cyclotomic literal")
-    size = max(raw) + 1
-    coeffs = [raw.get(k, Fraction(0)) for k in range(size)]
-    return CycloNum(order, coeffs)
-
-
-def _format_coeff(c: Fraction) -> str:
-    return str(c) if c.denominator != 1 else str(c.numerator)
+    return CycloNum(order, raw)
 
 
 def format_cyclo(x: CycloNum) -> str:
@@ -393,19 +395,11 @@ def format_cyclo(x: CycloNum) -> str:
     k = x.as_root_of_unity()
     if k is not None and k >= 2:
         return f"z^{k}"
-    parts: list[str] = []
-    for k in range(len(x.coeffs) - 1, -1, -1):
-        c = x.coeffs[k]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if k == 0:
-            body = _format_coeff(mag)
-        else:
-            zpart = "z" if k == 1 else f"z^{k}"
-            body = zpart if mag == 1 else f"{_format_coeff(mag)}*{zpart}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(parts) if parts else "0"
+    text = ""
+    for k, c in reversed(list(enumerate(x.coeffs))):
+        if c:
+            power = "" if k == 0 else "z" if k == 1 else f"z^{k}"
+            mag = str(abs(c)) if abs(c) != 1 or not power else ""
+            text += (" - " if text else "-") if c < 0 else (" + " if text else "")
+            text += "*".join(part for part in (mag, power) if part)
+    return text or "0"

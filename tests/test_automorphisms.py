@@ -60,6 +60,18 @@ class TestEnumerate:
         for sigma in aut_cm.elements:
             assert set(apply_line_permutation(base, sigma).points) == set(base.points)
 
+    def test_membership(self, aut_cm, aut_cr):
+        for group in (aut_cm, aut_cr):
+            base = group.base
+            assert all(sigma in group and list(sigma) in group for sigma in group.elements)
+            # a transposition of two lines that moves some point off the points
+            n = base.n_lines
+            swaps = [tuple(j if k == i else i if k == j else k for k in range(1, n + 1))
+                     for i, j in itertools.combinations(range(1, n + 1), 2)]
+            moved = [s for s in swaps
+                     if set(apply_line_permutation(base, s).points) != set(base.points)]
+            assert moved and not any(s in group for s in moved)
+
     def test_group_axioms_hold(self, aut_cm, aut_cr):
         aut_cm.verify_group_axioms()
         aut_cr.verify_group_axioms()

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from zarpair.cli import run
 from zarpair.combinatorics import Combinatorics, ordered_equal
+from zarpair.cyclotomic import MAX_ORDER
 from zarpair.realization import Arrangement
 
 
@@ -167,6 +168,11 @@ class TestDerive:
             {"cyclotomic_order": True, "lines": []},
             {"cyclotomic_order": 3, "lines": [{"name": "L1", "coeffs": [1, 0, 0]}]},
             arrangement([["1/0", "0", "0"]]),
+            # orders past the cap, with a well-formed body
+            {**arrangement([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+             "cyclotomic_order": MAX_ORDER + 1},
+            {**arrangement([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+             "cyclotomic_order": 10**12},
         ],
     )
     def test_malformed_arrangement_exits_two_in_one_line(self, capsys, tmp_path, obj):
@@ -385,6 +391,18 @@ class TestZariski:
                     "provenance": "published: test",
                 }
             ],
+        ] + [
+            [
+                {
+                    "id": "M+",
+                    "modulus": modulus,
+                    "exponents": [0] * 9,
+                    "cycle": [1, 2, 3],
+                    "value": "1",
+                    "provenance": "published: test",
+                }
+            ]
+            for modulus in (MAX_ORDER + 1, 10**12)
         ],
     )
     def test_malformed_ledger_exits_two_in_one_line(self, capsys, tmp_path, obj):

@@ -1,6 +1,8 @@
 """Incidence axioms, graphs, cycles and isomorphism on the catalog data."""
 
+import gc
 import random
+import weakref
 from itertools import combinations
 from math import comb as binomial
 
@@ -81,6 +83,19 @@ class TestIncidenceGraph:
         graph = comb.incidence_graph()
         assert len(graph.vertices) == 3
         assert graph.n_edges == 2
+
+    def test_cached_graph_frees_with_its_structure(self):
+        # the graph must not point back at the structure that caches it, or
+        # both would wait for the cyclic collector
+        comb = extended_maclane_explicit()
+        comb.incidence_graph()
+        ref = weakref.ref(comb)
+        gc.disable()
+        try:
+            del comb
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_rybnikov_counts(self, cr):
         assert len(cr.incidence_graph().vertices) == 15 + 61 == 76

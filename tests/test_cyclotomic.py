@@ -4,11 +4,13 @@ Derived expectations are cross-checked against the floating-point
 embedding, which is independent of the reduction path.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from genutil import cyclo_text
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zarpair.cyclotomic import (
     CycloNum,
@@ -128,6 +130,23 @@ class TestRootOfUnity:
         for k in range(3):
             assert x != Z3**k
         assert x.as_root_of_unity() is None
+
+
+class TestRootTable:
+    def test_every_power_is_recognised(self):
+        for n in range(1, 61):
+            for k in range(n):
+                assert CycloNum.zeta(n, k).as_root_of_unity() == k
+            # |1 + zeta_n| = 2 cos(pi / n) is 1 only at n = 3, where it is -zeta^2
+            assert (1 + CycloNum.zeta(n)).as_root_of_unity() is None
+            assert (CycloNum.zeta(n) / 2).as_root_of_unity() is None
+
+    def test_order_840_is_one_lookup(self):
+        # the order-linear scan took about 11 s for these two calls
+        start = time.perf_counter()
+        assert format_cyclo(parse_cyclo(840, "z + 1")) == "z + 1"
+        assert parse_cyclo(840, "z^839").as_root_of_unity() == 839
+        assert time.perf_counter() - start < 5
 
 
 class TestGrammar:
@@ -283,3 +302,35 @@ def test_parse_returns_or_raises_value_error(text, order):
     except ValueError:
         return
     assert isinstance(x, CycloNum) and x.order == order
+
+
+# -- sympy as an independent oracle -------------------------------------------
+
+X = sympy.Symbol("x")
+
+
+def to_sympy(x: CycloNum):
+    return sum(sympy.Rational(c.numerator, c.denominator) * X**k for k, c in enumerate(x.coeffs))
+
+
+def from_sympy(order: int, expr) -> CycloNum:
+    coeffs = sympy.Poly(expr, X).all_coeffs()[::-1]
+    return CycloNum(order, [Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    for n in range(1, 121):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    cyclo_numbers(order=n), cyclo_numbers(order=n)
+)))
+def test_product_and_inverse_match_sympy(pair):
+    x, y = pair
+    phi_n = sympy.cyclotomic_poly(x.order, X)
+    assert x * y == from_sympy(x.order, sympy.rem(to_sympy(x) * to_sympy(y), phi_n, X))
+    if not x.is_zero():
+        assert x.inverse() == from_sympy(x.order, sympy.invert(to_sympy(x), phi_n, X))
