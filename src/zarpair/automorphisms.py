@@ -2,7 +2,11 @@
 
 The search kernel (``zarpair._kernel``) prunes by per-line point-size
 signatures and pairwise point sizes, so the full groups of the catalog
-structures enumerate in well under the budgeted time. Group-theoretic
+structures enumerate in well under the budgeted time. It visits lines
+by fewest candidate images, then by the most weight of multiple points
+(size >= 3) each placement completes, so a wrong partial map fails as
+soon as a point closes; double points do not count there, since the
+pair-size check already enforces them. Group-theoretic
 claims are verified on the enumerated elements, not assumed: closure,
 inverses, and the 2x2 matrix model over F_3 for the 9-line extended
 MacLane structure.
@@ -121,7 +125,8 @@ def enumerate_automorphisms(comb: Combinatorics) -> AutGroup:
     """All line permutations carrying points to points, verified as a group."""
     points0 = [tuple(i - 1 for i in p) for p in comb.points]
     raw = _kernel.search_line_maps(comb.n_lines, points0, points0, find_all=True)
-    elements = tuple(sorted(tuple(j + 1 for j in p) for p in raw))
+    # The kernel returns sorted maps, and shifting to 1-based keeps the order.
+    elements = tuple(tuple(j + 1 for j in p) for p in raw)
     group = AutGroup(comb, elements)
     group.verify_group_axioms()
     return group

@@ -285,7 +285,9 @@ def is_isomorphic(c1: Combinatorics, c2: Combinatorics) -> Optional[tuple[int, .
     """A line permutation carrying the points of c1 onto those of c2, if any.
 
     Returns the permutation as a tuple (entry i-1 is the image of line i),
-    or None when the structures are not isomorphic.
+    or None when the structures are not isomorphic. The witness is some
+    valid map, the first the search kernel reaches; which one that is
+    follows the kernel's visit order and is not part of the contract.
     """
     if c1.n_lines != c2.n_lines or len(c1.points) != len(c2.points):
         return None

@@ -1,11 +1,16 @@
-"""Automorphism groups: catalog orders, matrix model, kernel against brute force."""
+"""Automorphism groups: catalog orders, matrix model, kernel against brute
+force and against networkx VF2."""
 
+import gc
 import itertools
 import math
 import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from networkx import Graph
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from genutil import random_combinatorics, two_fans
 from zarpair._kernel import search_line_maps
@@ -27,7 +32,11 @@ from zarpair.catalog import (
     maclane_combinatorics,
     rybnikov_explicit,
 )
-from zarpair.combinatorics import Combinatorics, apply_line_permutation
+from zarpair.combinatorics import (
+    Combinatorics,
+    apply_line_permutation,
+    is_isomorphic,
+)
 
 
 @pytest.fixture(scope="module")
@@ -299,3 +308,118 @@ class TestKernelOracle:
             maps = search_line_maps(n, src, dst, True)
             assert bool(maps) == (math.gcd(s1, k) == math.gcd(s2, k)), (s1, s2)
             assert all(_carries(perm, src, dst) for perm in maps)
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        comb = rybnikov_explicit()
+        pts = _zero_based(comb)
+        gc.collect()
+        gc.disable()
+        try:
+            for find_all in (True, False):
+                search_line_maps(comb.n_lines, pts, pts, find_all)
+                search_line_maps(comb.n_lines, pts, list(pts), find_all)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def _relabeled(comb, rng):
+    perm = list(range(1, comb.n_lines + 1))
+    rng.shuffle(perm)
+    return apply_line_permutation(comb, tuple(perm))
+
+
+class TestVisitOrder:
+    """Fan lines are visited so that the triple points close early: a
+    static order by candidate count alone places one whole fan before the
+    other and takes seconds on these 19-line pairs."""
+
+    @pytest.mark.parametrize("shift, isomorphic", [(2, False), (3, True)])
+    def test_eight_line_fans_finish_quickly(self, shift, isomorphic):
+        source = two_fans(8, 1)
+        target = _relabeled(two_fans(8, shift), random.Random(shift))
+        start = time.perf_counter()
+        found = is_isomorphic(source, target)
+        assert time.perf_counter() - start < 1.0
+        if not isomorphic:
+            assert found is None
+            return
+        assert found is not None
+        assert apply_line_permutation(source, found).points == target.points
+
+
+def _incidence_graph(comb):
+    """Lines and points as nodes of two colours, joined by incidence."""
+    graph = Graph()
+    graph.add_nodes_from((("line", i) for i in range(1, comb.n_lines + 1)), kind="line")
+    for t, p in enumerate(comb.points):
+        graph.add_node(("point", t), kind="point")
+        graph.add_edges_from((("line", i), ("point", t)) for i in p)
+    return graph
+
+
+def _vf2(c1, c2):
+    return GraphMatcher(
+        _incidence_graph(c1),
+        _incidence_graph(c2),
+        node_match=lambda a, b: a["kind"] == b["kind"],
+    )
+
+
+def _grown(comb, rng, steps):
+    """Add a line to a point, ``steps`` times: each time a random point
+    and a line that meets all of the point's lines in double points, so
+    both incidence axioms still hold."""
+    points = {frozenset(p) for p in comb.points}
+    for _ in range(steps):
+        moves = [
+            (p, d)
+            for p in sorted(points, key=sorted)
+            for d in range(1, comb.n_lines + 1)
+            if d not in p and all(frozenset((x, d)) in points for x in p)
+        ]
+        if not moves:
+            break
+        p, d = rng.choice(moves)
+        points -= {p} | {frozenset((x, d)) for x in p}
+        points.add(p | {d})
+    return Combinatorics(comb.lines, [sorted(q) for q in points])
+
+
+class TestVF2Oracle:
+    """The kernel against networkx VF2 on the coloured incidence graph."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.booleans())
+    def test_isomorphism_decision_agrees(self, seed, steps, perturb):
+        # Positives are relabeled copies; a perturbed pair grows the same
+        # base twice along independent random choices, which is often
+        # not isomorphic.
+        rng = random.Random(seed)
+        base = random_combinatorics(rng, max_lines=7)
+        left = _grown(base, rng, steps)
+        right = _grown(base, rng, steps) if perturb else left
+        right = _relabeled(right, rng)
+        assert right.validate().ok
+        found = is_isomorphic(left, right)
+        assert (found is not None) == _vf2(left, right).is_isomorphic()
+        if found is not None:
+            assert apply_line_permutation(left, found).points == right.points
+
+    def test_fan_decisions_agree(self):
+        # Negatives whose line signatures agree, so the kernel decides
+        # them by its completed-point check.
+        rng = random.Random(4)
+        for s1, s2 in itertools.combinations_with_replacement(range(1, 4), 2):
+            left, right = two_fans(4, s1), _relabeled(two_fans(4, s2), rng)
+            expected = _vf2(left, right).is_isomorphic()
+            assert (is_isomorphic(left, right) is not None) == expected, (s1, s2)
+
+    @pytest.mark.parametrize(
+        "build, order",
+        [(maclane_combinatorics, 48), (extended_maclane_explicit, 12)],
+    )
+    def test_automorphism_order_agrees(self, build, order):
+        comb = build()
+        vf2_order = sum(1 for _ in _vf2(comb, comb).isomorphisms_iter())
+        assert enumerate_automorphisms(comb).order == vf2_order == order
