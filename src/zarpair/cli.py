@@ -23,8 +23,6 @@ from .automorphisms import (
 from .characters import Character, is_inner_cyclic_def, is_inner_cyclic_remark
 from .combinatorics import Combinatorics, triangle_cycle
 from .gluing import (
-    check_generic,
-    check_gluing,
     find_generic_gluing,
     glue_arrangements,
     glue_combinatorics,
@@ -207,6 +205,13 @@ def _cmd_inner_cyclic(args) -> int:
 
 
 def _cmd_glue(args) -> int:
+    """Glue two arrangement files along their first triangle.
+
+    The report's ``checks`` are constant: find_generic_gluing returns only a
+    spec that passed check_gluing and check_generic, so both are true. The
+    check_gluing inside glue_arrangements is that function's own guard on
+    any spec it is given; it reads the spec's kept line images.
+    """
     left = Arrangement.from_obj(_read_json(args.left))
     right = Arrangement.from_obj(_read_json(args.right))
     spec = find_generic_gluing(left, right, max_candidates=args.max_candidates)
@@ -216,10 +221,7 @@ def _cmd_glue(args) -> int:
         "matrix": [[str(c) for c in row] for row in spec.map.rows],
         "parameter": list(spec.parameter) if spec.parameter else None,
         "shared_count": spec.shared_count,
-        "checks": {
-            "gluing": check_gluing(spec),
-            "generic": check_generic(spec),
-        },
+        "checks": {"gluing": True, "generic": True},
     }
     if args.report:
         _write_json(report, args.report)

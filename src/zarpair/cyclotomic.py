@@ -26,6 +26,8 @@ Rational = Union[int, Fraction]
 __all__ = [
     "CycloNum",
     "cyclotomic_polynomial",
+    "det2",
+    "dot",
     "euler_phi",
     "parse_cyclo",
     "format_cyclo",
@@ -116,6 +118,50 @@ def _new(order: int, num: Sequence[int], den: int) -> "CycloNum":
     return x
 
 
+def _sum_of_products(terms: Sequence[tuple[int, "CycloNum", "CycloNum"]]) -> "CycloNum":
+    """sum(sign * x * y) over ``terms`` of (sign, x, y), with one fold and one gcd.
+
+    Each product's numerators are scaled to the lcm of the products'
+    denominators, so every convolution lands in one integer buffer.
+    """
+    first = terms[0][1]
+    order, den = first.order, 1
+    for _, x, y in terms:
+        if x.order != order or y.order != order:
+            other = y.order if x.order == order else x.order
+            raise ValueError(f"order mismatch: {order} vs {other}; lift first")
+        den = lcm(den, x._den * y._den)
+    raw = [0] * (2 * len(first._num) - 1)
+    for sign, x, y in terms:
+        scale = sign * den // (x._den * y._den)
+        ys = y._num
+        for i, c in enumerate(x._num):
+            if c:
+                c *= scale
+                for j, d in enumerate(ys, i):
+                    raw[j] += c * d
+    return _new(order, _fold(order, raw), den)
+
+
+def dot(xs: Sequence["CycloNum"], ys: Sequence["CycloNum"]) -> "CycloNum":
+    """sum(x * y for x, y in zip(xs, ys)), as one exact accumulation.
+
+    >>> z = CycloNum.zeta(3)
+    >>> dot([z, CycloNum.one(3)], [z, z])
+    CycloNum(3, '-1')
+    """
+    if not xs or len(xs) != len(ys):
+        raise ValueError(
+            f"dot needs two non-empty sequences of one length, got {len(xs)} and {len(ys)}"
+        )
+    return _sum_of_products([(1, x, y) for x, y in zip(xs, ys)])
+
+
+def det2(a: "CycloNum", b: "CycloNum", c: "CycloNum", d: "CycloNum") -> "CycloNum":
+    """The determinant a * d - b * c of [[a, b], [c, d]], as one exact accumulation."""
+    return _sum_of_products([(1, a, d), (-1, b, c)])
+
+
 class CycloNum:
     """An exact element of Q(zeta_n): integer numerators over one denominator.
 
@@ -166,7 +212,7 @@ class CycloNum:
 
     @classmethod
     def one(cls, order: int) -> "CycloNum":
-        return cls(order, [1])
+        return cls.zeta(order, 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -213,12 +259,7 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        raw = [0] * (2 * len(self._num) - 1)  # an integer convolution, then a fold
-        for i, c in enumerate(self._num):
-            if c:
-                for j, d in enumerate(other._num, i):
-                    raw[j] += c * d
-        return _new(self.order, _fold(self.order, raw), self._den * other._den)
+        return _sum_of_products([(1, self, other)])
 
     __rmul__ = __mul__
 

@@ -12,11 +12,15 @@ triangle, then walks a fixed sequence of diagonal maps diag(1, s, t) with
 (s, t) ranging over pairs of distinct primes. Genericity fails only on
 finitely many parameter choices, so the deterministic sequence finds a
 generic map quickly and reproducibly.
+
+A GluingSpec maps the right lines once, when it is made, and keeps the
+images; check_gluing, check_generic and glue_arrangements all read them.
+The search decides each candidate with check_gluing and check_generic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import lcm
 
@@ -57,6 +61,12 @@ class GluingSpec:
     map: ProjMap
     shared_count: int
     parameter: tuple[int, int] | None = None  # (s, t) when found by search
+    # the images of the right lines under the map, shared by every check
+    _images: tuple[ProjLine, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        images = tuple(self.map.apply_line(line) for line in self.right.lines)
+        object.__setattr__(self, "_images", images)
 
 
 def _triangle_vertices(arr: Arrangement) -> tuple[ProjPoint, ProjPoint, ProjPoint]:
@@ -138,12 +148,12 @@ def check_gluing(spec: GluingSpec) -> bool:
     """Both gluing conditions for the declared number of shared lines:
     the first l right lines map onto the first l left lines, and no later
     right line maps onto a later left line."""
-    left, right, phi, l = spec.left, spec.right, spec.map, spec.shared_count
+    left, right, l = spec.left, spec.right, spec.shared_count
     _triangle_vertices(left)
     _triangle_vertices(right)
     if l < 3 or l > min(left.n_lines, right.n_lines):
         return False
-    images = [phi.apply_line(line) for line in right.lines]
+    images = spec._images
     for i in range(l):
         if images[i].coeffs != left.lines[i].coeffs:
             return False
@@ -176,7 +186,7 @@ def check_generic(spec: GluingSpec) -> bool:
         return False
 
     left_coeffs = {line.coeffs for line in left.lines}
-    images = [phi.apply_line(line) for line in right.lines[3:]]
+    images = spec._images[3:]
     if any(img.coeffs in left_coeffs for img in images):
         return False
 
@@ -240,13 +250,10 @@ def find_generic_gluing(
 
 def glue_arrangements(spec: GluingSpec) -> Arrangement:
     """The glued arrangement: the left lines, then the images of the unshared
-    right lines, renamed D1..Dd."""
+    right lines (kept by the spec), renamed D1..Dd."""
     if not check_gluing(spec):
         raise ValueError("not a gluing: the declared map fails the gluing conditions")
-    phi, l = spec.map, spec.shared_count
-    lines = list(spec.left.lines) + [
-        phi.apply_line(line) for line in spec.right.lines[l:]
-    ]
+    lines = list(spec.left.lines) + list(spec._images[spec.shared_count:])
     renamed = [
         ProjLine(f"D{i}", line.coeffs) for i, line in enumerate(lines, start=1)
     ]

@@ -4,7 +4,8 @@ Lines are coefficient triples (a, b, c) of ax + by + cz = 0 and points are
 homogeneous coordinate triples, both normalized so the first nonzero entry
 is 1. Normalization makes equality structural, so intersection points can
 be grouped into singular points with a plain dictionary: no epsilon
-anywhere.
+anywhere. Every incidence, cross product, adjugate entry and matrix product
+is a cyclotomic ``dot`` or ``det2``: one exact accumulation per entry.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .combinatorics import Combinatorics
-from .cyclotomic import CycloNum, check_order, parse_cyclo
+from .cyclotomic import CycloNum, check_order, det2, dot, parse_cyclo
 
 __all__ = [
     "ProjPoint",
@@ -35,23 +36,21 @@ Triple = tuple[CycloNum, CycloNum, CycloNum]
 def _normalize(coords: Sequence[CycloNum]) -> Triple:
     if len(coords) != 3:
         raise ValueError(f"expected 3 homogeneous coordinates, got {len(coords)}")
-    for c in coords:
-        if not c.is_zero():
+    for k, c in enumerate(coords):
+        if not c.is_zero():  # the pivot becomes exactly one
             inv = c.inverse()
-            return (coords[0] * inv, coords[1] * inv, coords[2] * inv)
+            return tuple(
+                CycloNum.one(c.order) if j == k else x * inv for j, x in enumerate(coords)
+            )
     raise ValueError("all coordinates are zero")
 
 
 def _cross(u: Sequence[CycloNum], v: Sequence[CycloNum]) -> tuple:
     return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
+        det2(u[1], u[2], v[1], v[2]),
+        det2(u[2], u[0], v[2], v[0]),
+        det2(u[0], u[1], v[0], v[1]),
     )
-
-
-def _dot(u: Sequence[CycloNum], v: Sequence[CycloNum]) -> CycloNum:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class ProjPoint:
         object.__setattr__(self, "coords", _normalize(self.coords))
 
     def lies_on(self, line: "ProjLine") -> bool:
-        return _dot(self.coords, line.coeffs).is_zero()
+        return dot(self.coords, line.coeffs).is_zero()
 
     def __repr__(self):
         return "[" + " : ".join(str(c) for c in self.coords) + "]"
@@ -98,8 +97,10 @@ class ProjMap:
         # adj(M), the transposed cofactors: M @ adj(M) = det(M) * I
         self._adj: tuple[Triple, ...] = tuple(
             tuple(
-                m[(r + 1) % 3][(c + 1) % 3] * m[(r + 2) % 3][(c + 2) % 3]
-                - m[(r + 1) % 3][(c + 2) % 3] * m[(r + 2) % 3][(c + 1) % 3]
+                det2(
+                    m[(r + 1) % 3][(c + 1) % 3], m[(r + 1) % 3][(c + 2) % 3],
+                    m[(r + 2) % 3][(c + 1) % 3], m[(r + 2) % 3][(c + 2) % 3],
+                )
                 for r in range(3)
             )
             for c in range(3)
@@ -109,7 +110,7 @@ class ProjMap:
 
     def det(self) -> CycloNum:
         """Row 0 of the matrix times column 0 of its adjugate."""
-        return _dot(self.rows[0], [row[0] for row in self._adj])
+        return dot(self.rows[0], [row[0] for row in self._adj])
 
     def inverse(self) -> "ProjMap":
         scale = self.det().inverse()
@@ -117,20 +118,12 @@ class ProjMap:
 
     def compose(self, other: "ProjMap") -> "ProjMap":
         """self after other (matrix product self @ other)."""
-        a, b = self.rows, other.rows
-        return ProjMap(
-            [
-                [
-                    a[r][0] * b[0][c] + a[r][1] * b[1][c] + a[r][2] * b[2][c]
-                    for c in range(3)
-                ]
-                for r in range(3)
-            ]
-        )
+        columns = list(zip(*other.rows))
+        return ProjMap([[dot(row, col) for col in columns] for row in self.rows])
 
     def apply_point(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(
-            tuple(_dot(row, p.coords) for row in self.rows)  # type: ignore[arg-type]
+            tuple(dot(row, p.coords) for row in self.rows)  # type: ignore[arg-type]
         )
 
     def apply_line(self, line: ProjLine) -> ProjLine:
@@ -138,7 +131,7 @@ class ProjMap:
         so point-line incidence is preserved. The adjugate is det(M) times the
         inverse, and ProjLine scales the first nonzero coefficient to 1, so
         the row product with the adjugate is the same line, with no division."""
-        new = tuple(_dot(line.coeffs, col) for col in zip(*self._adj))
+        new = tuple(dot(line.coeffs, col) for col in zip(*self._adj))
         return ProjLine(line.name, new)  # type: ignore[arg-type]
 
     def __eq__(self, other):

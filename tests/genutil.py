@@ -1,8 +1,10 @@
 """Shared random generators for the property suites.
 
-Random valid combinatorics are built by merging, which preserves both
-incidence axioms at every step: start from the all-double-points structure
-and repeatedly fuse two points whose cross pairs are all still doubles.
+Random valid combinatorics are built by merging and growing, which preserve
+both incidence axioms at every step: start from the all-double-points
+structure, repeatedly fuse two points whose cross pairs are all still
+doubles, then grow points by one line each, so point sizes come out odd as
+well as even.
 Random triangular inner-cyclic pairs are built by construction: two fans of
 k lines through two points of line 1 with exponents e and -e, matched up
 across lines 2 and 3 by two disjoint pairings.
@@ -23,6 +25,28 @@ from zarpair.cyclotomic import CycloNum
 from zarpair.realization import Arrangement, ProjLine, ProjMap
 
 
+def grow_points(
+    points: set[frozenset[int]], n: int, rng: random.Random, steps: int
+) -> set[frozenset[int]]:
+    """Add a line to a point, ``steps`` times: each time a random point and
+    a line that meets all of the point's lines in double points, so both
+    incidence axioms still hold. Returns the new set of points."""
+    points = set(points)
+    for _ in range(steps):
+        moves = [
+            (p, d)
+            for p in sorted(points, key=sorted)
+            for d in range(1, n + 1)
+            if d not in p and all(frozenset((x, d)) in points for x in p)
+        ]
+        if not moves:
+            break
+        p, d = rng.choice(moves)
+        points -= {p} | {frozenset((x, d)) for x in p}
+        points.add(p | {d})
+    return points
+
+
 def random_combinatorics(rng: random.Random, max_lines: int = 8) -> Combinatorics:
     """A random valid combinatorics on 3..max_lines lines."""
     n = rng.randint(3, max_lines)
@@ -39,6 +63,7 @@ def random_combinatorics(rng: random.Random, max_lines: int = 8) -> Combinatoric
             points.discard(a)
             points.discard(b)
             points.add(a | b)
+    points = grow_points(points, n, rng, rng.randint(0, n // 2))
     return Combinatorics(
         [f"L{i}" for i in range(1, n + 1)], [sorted(p) for p in points]
     )

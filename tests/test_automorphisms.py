@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from networkx import Graph
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from genutil import random_combinatorics, two_fans
+from genutil import grow_points, random_combinatorics, two_fans
 from zarpair._kernel import search_line_maps
 from zarpair.automorphisms import (
     compose_perms,
@@ -367,22 +367,8 @@ def _vf2(c1, c2):
 
 
 def _grown(comb, rng, steps):
-    """Add a line to a point, ``steps`` times: each time a random point
-    and a line that meets all of the point's lines in double points, so
-    both incidence axioms still hold."""
-    points = {frozenset(p) for p in comb.points}
-    for _ in range(steps):
-        moves = [
-            (p, d)
-            for p in sorted(points, key=sorted)
-            for d in range(1, comb.n_lines + 1)
-            if d not in p and all(frozenset((x, d)) in points for x in p)
-        ]
-        if not moves:
-            break
-        p, d = rng.choice(moves)
-        points -= {p} | {frozenset((x, d)) for x in p}
-        points.add(p | {d})
+    """``comb`` with ``steps`` points grown by one line each."""
+    points = grow_points({frozenset(p) for p in comb.points}, comb.n_lines, rng, steps)
     return Combinatorics(comb.lines, [sorted(q) for q in points])
 
 
@@ -405,6 +391,27 @@ class TestVF2Oracle:
         assert (found is not None) == _vf2(left, right).is_isomorphic()
         if found is not None:
             assert apply_line_permutation(left, found).points == right.points
+
+    def test_random_structures_give_size_matched_negatives(self):
+        # Sorting structures with equal point sizes into isomorphism classes
+        # gives negatives that pass the size checks, so the kernel decides
+        # them in its search; VF2 must agree on every comparison.
+        rng = random.Random(7)
+        groups = {}
+        for _ in range(300):
+            comb = random_combinatorics(rng, max_lines=7)
+            key = (comb.n_lines, tuple(sorted(len(p) for p in comb.points)))
+            groups.setdefault(key, []).append(comb)
+        negatives = 0
+        for group in groups.values():
+            classes = []
+            for comb in group:
+                found = [is_isomorphic(comb, rep) is not None for rep in classes]
+                assert found == [_vf2(comb, rep).is_isomorphic() for rep in classes]
+                negatives += found.count(False)
+                if not any(found):
+                    classes.append(comb)
+        assert negatives > 0
 
     def test_fan_decisions_agree(self):
         # Negatives whose line signatures agree, so the kernel decides

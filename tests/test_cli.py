@@ -12,10 +12,11 @@ import pytest
 from genutil import cyclo_text
 from hypothesis import example, given, settings, strategies as st
 
+from zarpair.catalog import extended_maclane_realization, seed_ledger
 from zarpair.cli import run
 from zarpair.combinatorics import Combinatorics, ordered_equal
-from zarpair.cyclotomic import MAX_ORDER
-from zarpair.realization import Arrangement
+from zarpair.cyclotomic import MAX_ORDER, CycloNum
+from zarpair.realization import Arrangement, ProjLine, ProjMap, apply_map
 
 
 def invoke(capsys, *argv):
@@ -471,3 +472,49 @@ def test_derive_and_glue_never_escape(objs):
             assert code in (0, 1, 2)
             if code == 2:
                 assert_malformed(code, out.getvalue(), err.getvalue())
+
+
+# -- a golden session ----------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "golden_session"
+GOLDEN_OUTPUTS = ("glued.json", "report.json", "comb.json", "entry.json", "verdict.json")
+# Fixed integer maps applied to the catalog's M+ and M- after lifting to order 12.
+GOLDEN_MAPS = {
+    "+": [[2, 1, 0], [0, 1, -1], [1, 0, 3]],
+    "-": [[1, -2, 1], [3, 1, 0], [0, 2, 1]],
+}
+
+
+def golden_session(workdir: Path) -> list[int]:
+    """Write the lifted inputs and the seed ledger to ``workdir``, then run
+    glue --report, derive, invariant glue and zariski on them there; return
+    the exit codes. The outputs are the files named in GOLDEN_OUTPUTS."""
+    order = 12
+    for side, sign in (("left", "+"), ("right", "-")):
+        arr = extended_maclane_realization(sign)
+        lifted = Arrangement(
+            order,
+            [ProjLine(l.name, tuple(c.lift(order) for c in l.coeffs)) for l in arr.lines],
+        )
+        m = ProjMap([[CycloNum.from_rational(order, v) for v in row]
+                     for row in GOLDEN_MAPS[sign]])
+        (workdir / f"{side}.json").write_text(json.dumps(apply_map(lifted, m).to_obj()))
+    (workdir / "ledger.json").write_text(json.dumps(seed_ledger().to_obj()))
+    p = {name: str(workdir / name) for name in
+         ("left.json", "right.json", "ledger.json") + GOLDEN_OUTPUTS}
+    sessions = [
+        ["glue", p["left.json"], p["right.json"], "-o", p["glued.json"],
+         "--report", p["report.json"]],
+        ["derive", p["glued.json"], "-o", p["comb.json"]],
+        ["invariant", "glue", "--ledger", p["ledger.json"], "--left", "M+",
+         "--right", "M-", "-o", p["entry.json"]],
+        ["zariski", "--ledger", p["ledger.json"], "--entry", "M+",
+         "-o", p["verdict.json"]],
+    ]
+    return [run(argv) for argv in sessions]
+
+
+def test_golden_session_is_byte_identical(tmp_path):
+    assert golden_session(tmp_path) == [0, 0, 0, 0]
+    for name in GOLDEN_OUTPUTS:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

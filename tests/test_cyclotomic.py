@@ -15,6 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from zarpair.cyclotomic import (
     CycloNum,
     cyclotomic_polynomial,
+    det2,
+    dot,
     euler_phi,
     format_cyclo,
     parse_cyclo,
@@ -334,3 +336,77 @@ def test_product_and_inverse_match_sympy(pair):
     assert x * y == from_sympy(x.order, sympy.rem(to_sympy(x) * to_sympy(y), phi_n, X))
     if not x.is_zero():
         assert x.inverse() == from_sympy(x.order, sympy.invert(to_sympy(x), phi_n, X))
+
+
+# -- the accumulation kernel: dot, det2 and * ----------------------------------
+
+
+@st.composite
+def kernel_operands(draw, count):
+    """``count`` elements of one order in 1..30: zeros, rationals and full
+    elements whose coefficients have mixed denominators."""
+    n = draw(st.integers(1, 30))
+    zero = st.just(CycloNum.zero(n))
+    rational = small_fractions.map(lambda c: CycloNum.from_rational(n, c))
+    return [draw(zero | rational | cyclo_numbers(order=n)) for _ in range(count)]
+
+
+def sympy_value(order: int, expr) -> CycloNum:
+    return from_sympy(order, sympy.rem(sympy.expand(expr), sympy.cyclotomic_poly(order, X), X))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: kernel_operands(2 * k)))
+def test_dot_matches_operators_and_sympy(operands):
+    k = len(operands) // 2
+    xs, ys = operands[:k], operands[k:]
+    expected = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        expected = expected + x * y
+    assert dot(xs, ys) == expected
+    assert repr(dot(xs, ys)) == repr(expected)
+    n = xs[0].order
+    assert dot(xs, ys) == sympy_value(n, sum(to_sympy(x) * to_sympy(y) for x, y in zip(xs, ys)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(kernel_operands(4))
+def test_det2_and_product_match_operators_and_sympy(operands):
+    a, b, c, d = operands
+    n = a.order
+    assert det2(a, b, c, d) == a * d - b * c
+    assert str(det2(a, b, c, d)) == str(a * d - b * c)
+    assert det2(a, b, c, d) == sympy_value(n, to_sympy(a) * to_sympy(d) - to_sympy(b) * to_sympy(c))
+    assert det2(a, b, c, d) == -det2(b, a, d, c)
+    assert a * b == sympy_value(n, to_sympy(a) * to_sympy(b))
+    assert a * b == dot([a], [b])
+
+
+def test_kernel_on_mixed_denominators():
+    # 1/2 * z * 1/3 + 1/4 * 1/5: the common denominator is lcm(6, 20) = 60
+    z = CycloNum.zeta(3)
+    half_z, third = z * Fraction(1, 2), CycloNum.from_rational(3, Fraction(1, 3))
+    quarter, fifth = (CycloNum.from_rational(3, Fraction(1, q)) for q in (4, 5))
+    assert dot([half_z, quarter], [third, fifth]).coeffs == (Fraction(1, 20), Fraction(1, 6))
+    assert det2(half_z, quarter, fifth, third).coeffs == (Fraction(-1, 20), Fraction(1, 6))
+
+
+def test_kernel_order_mismatch_raises():
+    z3, z6 = CycloNum.zeta(3), CycloNum.zeta(6)
+    for call in (
+        lambda: dot([z3, z3], [z3, z6]),
+        lambda: dot([z6], [z3]),
+        lambda: det2(z3, z3, z3, z6),
+        lambda: det2(z6, z3, z3, z3),
+        lambda: z3 * z6,
+    ):
+        with pytest.raises(ValueError, match="order mismatch"):
+            call()
+
+
+def test_dot_needs_non_empty_sequences_of_one_length():
+    z = CycloNum.zeta(3)
+    with pytest.raises(ValueError):
+        dot([], [])
+    with pytest.raises(ValueError):
+        dot([z, z], [z])

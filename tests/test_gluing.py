@@ -1,12 +1,15 @@
 """Triangle gluings: conditions, search, glued objects, and their laws."""
 
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genutil import (
     random_arrangement,
     random_inner_cyclic,
+    random_invertible_map,
     random_triangle_safe_combinatorics,
 )
 from zarpair.catalog import (
@@ -29,6 +32,8 @@ from zarpair.cyclotomic import CycloNum
 from zarpair.gluing import (
     GluingSearchExhausted,
     GluingSpec,
+    _prime_pairs,
+    _triangle_normalization,
     check_generic,
     check_gluing,
     find_generic_gluing,
@@ -36,7 +41,13 @@ from zarpair.gluing import (
     glue_characters,
     glue_combinatorics,
 )
-from zarpair.realization import Arrangement, ProjLine, ProjMap, derive_combinatorics
+from zarpair.realization import (
+    Arrangement,
+    ProjLine,
+    ProjMap,
+    apply_map,
+    derive_combinatorics,
+)
 
 ZERO, ONE = CycloNum.zero(3), CycloNum.one(3)
 
@@ -76,6 +87,29 @@ def spec_pp(m_plus):
 @pytest.fixture(scope="module")
 def spec_pm(m_plus, m_minus):
     return find_generic_gluing(m_plus, m_minus)
+
+
+@pytest.fixture(scope="module")
+def r15(spec_pp):
+    return glue_arrangements(spec_pp)
+
+
+def candidate_specs(left, right, k):
+    """The first k candidate specs, built as the search builds them."""
+    order = left.order
+    m_left = _triangle_normalization(left)
+    m_right_inv = _triangle_normalization(right).inverse()
+    zero, one = CycloNum.zero(order), CycloNum.one(order)
+    specs = []
+    for s, t in islice(_prime_pairs(), k):
+        diag = ProjMap([
+            [one, zero, zero],
+            [zero, CycloNum.from_rational(order, s), zero],
+            [zero, zero, CycloNum.from_rational(order, t)],
+        ])
+        phi = m_left.compose(diag).compose(m_right_inv)
+        specs.append(GluingSpec(left, right, phi, 3, parameter=(s, t)))
+    return specs
 
 
 class TestCheckGluing:
@@ -186,6 +220,75 @@ class TestFindGenericGluing:
             )
             found += 1
         assert found >= 2
+
+
+class TestSearchAgainstPublicChecks:
+    """The search decides as the public checks do on its candidates."""
+
+    def test_search_succeeds_exactly_when_a_candidate_passes(
+        self, m_plus, m_minus, r15
+    ):
+        swapped = Arrangement(3, [m_plus.line(i) for i in (1, 2, 3, 5, 4, 6, 7, 8, 9)])
+        pairs = [(r15, m_plus), (r15, m_minus), (m_plus, m_minus), (m_plus, swapped)]
+        rejected = 0
+        for left, right in pairs:
+            specs = candidate_specs(left, right, 10)
+            passing = [check_gluing(spec) and check_generic(spec) for spec in specs]
+            rejected += passing.count(False)
+            for k in range(11):
+                first = next((i for i in range(k) if passing[i]), None)
+                if first is None:
+                    with pytest.raises(GluingSearchExhausted):
+                        find_generic_gluing(left, right, max_candidates=k)
+                    continue
+                spec = find_generic_gluing(left, right, max_candidates=k)
+                assert spec.parameter == specs[first].parameter
+                assert spec.map == specs[first].map
+        # (R15, M+) and (R15, M-) settle on (3, 5) after turning down (2, 3)
+        # and (2, 5); (2, 7) and (2, 11) later in the ten fail as well
+        assert rejected >= 2
+
+    def test_all_colliding_spec_fails_public_checks(self, m_plus):
+        spec = GluingSpec(m_plus, m_plus, identity_map(), shared_count=3)
+        assert not check_gluing(spec) and not check_generic(spec)
+        assert [line.coeffs for line in spec._images] == [
+            line.coeffs for line in m_plus.lines
+        ]
+
+
+@st.composite
+def realization_images(draw, order):
+    """M+ and M- (lifted to ``order``) moved by drawn projective maps."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rational = draw(st.booleans())
+    sides = []
+    for sign in draw(st.sampled_from([("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")])):
+        arr = extended_maclane_realization(sign)
+        if order != arr.order:
+            arr = Arrangement(order, [
+                ProjLine(l.name, tuple(c.lift(order) for c in l.coeffs)) for l in arr.lines
+            ])
+        sides.append(apply_map(arr, random_invertible_map(rng, order, rational)))
+    return sides
+
+
+def assert_glued_combinatorics_agree(left, right):
+    glued = derive_combinatorics(glue_arrangements(find_generic_gluing(left, right)))
+    expected = glue_combinatorics(derive_combinatorics(left), derive_combinatorics(right))
+    assert glued.lines == expected.lines
+    assert set(glued.points) == set(expected.points)
+
+
+class TestGluingOracle:
+    """Gluing realizations, then deriving, equals gluing combinatorics."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([3, 12]).flatmap(realization_images))
+    def test_projective_images_of_maclane(self, sides):
+        assert_glued_combinatorics_agree(*sides)
+
+    def test_chained_pair(self, r15, m_minus):
+        assert_glued_combinatorics_agree(r15, m_minus)
 
 
 class TestGlueArrangements:
