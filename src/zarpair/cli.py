@@ -154,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zariski", help="Zariski-pair verdict for a ledger entry")
     p.add_argument("--ledger", required=True)
     p.add_argument("--entry", required=True)
-    p.add_argument("--aut-trivial", action="store_true")
     p.add_argument("-o", "--output", default=None)
 
     return parser
@@ -208,9 +207,11 @@ def _cmd_glue(args) -> int:
     """Glue two arrangement files along their first triangle.
 
     The report's ``checks`` are constant: find_generic_gluing returns only a
-    spec that passed check_gluing and check_generic, so both are true. The
-    check_gluing inside glue_arrangements is that function's own guard on
-    any spec it is given; it reads the spec's kept line images.
+    spec that passed check_gluing and check_generic (apart from the triangle
+    vertices, no singular point of either side lies on an unshared line of
+    the other side), so both are true. The check_gluing inside
+    glue_arrangements is that function's own guard on any spec it is given;
+    it reads the spec's kept line images.
     """
     left = Arrangement.from_obj(_read_json(args.left))
     right = Arrangement.from_obj(_read_json(args.right))
@@ -249,7 +250,7 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_zariski(args) -> int:
     ledger = _load_ledger(args.ledger)
-    verdict = detect_zariski(ledger.get(args.entry), aut_trivial=args.aut_trivial)
+    verdict = detect_zariski(ledger.get(args.entry))
     problems = verdict.check()
     if problems:
         raise ValueError("verdict failed self-check: " + "; ".join(problems))

@@ -2,10 +2,10 @@
 
 A gluing is a projective map carrying the first l >= 3 lines of the right
 arrangement onto the first l lines of the left one, with no accidental line
-coincidences elsewhere. It is generic when l = 3 and the only shared
-singular points are the three triangle vertices; generic gluings all
-produce the same combinatorics, which glue_combinatorics builds purely
-combinatorially.
+coincidences elsewhere. It is generic when l = 3 and, apart from the
+triangle vertices, no singular point of either side lies on an unshared
+line of the other side; generic gluings all produce the same
+combinatorics, which glue_combinatorics builds purely combinatorially.
 
 The constructive search normalizes both triangles onto the coordinate
 triangle, then walks a fixed sequence of diagonal maps diag(1, s, t) with
@@ -15,7 +15,8 @@ generic map quickly and reproducibly.
 
 A GluingSpec maps the right lines once, when it is made, and keeps the
 images; check_gluing, check_generic and glue_arrangements all read them.
-The search decides each candidate with check_gluing and check_generic.
+check_generic includes check_gluing; the search still calls both on each
+candidate, so a tracer sees which of the two turned a candidate down.
 """
 
 from __future__ import annotations
@@ -165,51 +166,28 @@ def check_gluing(spec: GluingSpec) -> bool:
 
 
 def check_generic(spec: GluingSpec) -> bool:
-    """Genericity: exactly the triangle is shared.
+    """Genericity: a gluing (check_gluing) along l = 3 lines in which, apart
+    from the triangle vertices, no singular point of either side lies on an
+    unshared line of the other side.
 
-    Requires l = 3; the three vertex images must match vertex for vertex;
-    no other right line may land on a left line; and apart from the
-    vertices the two singular loci must stay transverse (no singular point
-    of one side on any line of the other), so that every new incidence is
-    an honest double point.
+    A vertex is a singular point with two of lines 1-3 through it. Right
+    points are mapped and tested against the unshared left lines, left
+    points against the images of the unshared right lines. The map carries
+    right lines 1-3 onto left lines 1-3, so a right point on a right
+    triangle line lands on that same left line and a vertex on a vertex;
+    every new incidence is then an honest double point.
     """
-    left, right, phi = spec.left, spec.right, spec.map
-    if spec.shared_count != 3:
+    if not (spec.shared_count == 3 and check_gluing(spec)):
         return False
-    lv12, lv23, lv13 = _triangle_vertices(left)
-    rv12, rv23, rv13 = _triangle_vertices(right)
-    if (
-        phi.apply_point(rv12) != lv12
-        or phi.apply_point(rv23) != lv23
-        or phi.apply_point(rv13) != lv13
-    ):
-        return False
-
-    left_coeffs = {line.coeffs for line in left.lines}
-    images = spec._images[3:]
-    if any(img.coeffs in left_coeffs for img in images):
-        return False
-
-    vertices_left = {lv12, lv23, lv13}
-    vertices_right = {rv12, rv23, rv13}
-    sing_left = spec.left.singular_points()
-    sing_right = spec.right.singular_points()
-
-    # A right singular point on a right triangle line necessarily lands on
-    # the matching left triangle line; anything beyond that is a collision.
-    for p, through in sing_right.items():
-        if p in vertices_right:
-            continue
-        q = phi.apply_point(p)
-        if q in sing_left:
-            return False
-        for j, line in enumerate(left.lines, start=1):
-            if q.lies_on(line) and not (j <= 3 and j in through):
+    # ``through`` is sorted, so its second line is one of 1-3 at a vertex
+    left_tail, image_tail = spec.left.lines[3:], spec._images[3:]
+    for p, through in spec.right.singular_points().items():
+        if through[1] > 3:
+            q = spec.map.apply_point(p)
+            if any(q.lies_on(line) for line in left_tail):
                 return False
-    for p in sing_left:
-        if p in vertices_left:
-            continue
-        if any(p.lies_on(img) for img in images):
+    for p, through in spec.left.singular_points().items():
+        if through[1] > 3 and any(p.lies_on(img) for img in image_tail):
             return False
     return True
 

@@ -196,10 +196,10 @@ def invariant_of_glued(
     _require_first_triangle(left)
     _require_first_triangle(right)
     if gluing is not None:
-        from .gluing import check_generic, check_gluing
+        from .gluing import check_generic
         from .realization import derive_combinatorics
 
-        if not (check_gluing(gluing) and check_generic(gluing)):
+        if not check_generic(gluing):
             raise ValueError("supplied gluing is not generic")
         for arr, entry in ((gluing.left, left), (gluing.right, right)):
             derived = derive_combinatorics(arr)
@@ -253,11 +253,10 @@ class ZariskiVerdict:
 
     For a non-real value the two derived entries realize the same glued
     combinatorics with different invariant values, so no order-preserving
-    (and, when the automorphism group is trivial, no) homeomorphism can
-    identify the two glued pairs.
+    homeomorphism can identify the two glued pairs.
     """
 
-    kind: Literal["inconclusive", "ordered_zariski_pair", "zariski_pair"]
+    kind: Literal["inconclusive", "ordered_zariski_pair"]
     base: LedgerEntry
     plus: Optional[LedgerEntry] = None
     minus: Optional[LedgerEntry] = None
@@ -303,13 +302,14 @@ class ZariskiVerdict:
         return obj
 
 
-def detect_zariski(entry: LedgerEntry, aut_trivial: bool = False) -> ZariskiVerdict:
+def detect_zariski(entry: LedgerEntry) -> ZariskiVerdict:
     """Zariski-pair verdict for a triangular inner-cyclic ledger entry.
 
     A real value is inconclusive. Otherwise the self-gluing and the gluing
     with the conjugate arrangement share a combinatorics but carry values
-    v*v and 1, which differ exactly because v is not real; with a trivial
-    automorphism group the order hypothesis drops as well.
+    v*v and 1, which differ exactly because v is not real. The order
+    hypothesis stays: the glued combinatorics always has the automorphism
+    that swaps the two copies, so its group is never trivial.
     """
     v = entry.value
     if v.is_real():
@@ -324,7 +324,7 @@ def detect_zariski(entry: LedgerEntry, aut_trivial: bool = False) -> ZariskiVerd
     conjugate = invariant_of_conjugate(entry, new_id=f"conj({entry.id})")
     plus = invariant_of_glued(entry, entry, new_id=f"pair+({entry.id})")
     minus = invariant_of_glued(entry, conjugate, new_id=f"pair-({entry.id})")
-    reasoning = [
+    reasoning = (
         f"value {v} of {entry.id} is not real: conj({v}) = {v.conjugate()} differs",
         "multiplicativity: a generic triangle gluing multiplies invariant "
         f"values, so the self-gluing carries {plus.value} and the gluing "
@@ -337,12 +337,5 @@ def detect_zariski(entry: LedgerEntry, aut_trivial: bool = False) -> ZariskiVerd
         "homeomorphism of the pair, and conjugation settles the orientation "
         "case, so no order-preserving homeomorphism exists: an ordered "
         "Zariski pair",
-    ]
-    kind: Literal["ordered_zariski_pair", "zariski_pair"] = "ordered_zariski_pair"
-    if aut_trivial:
-        kind = "zariski_pair"
-        reasoning.append(
-            "the automorphism group of the combinatorics is trivial, which "
-            "removes the order hypothesis: a Zariski pair"
-        )
-    return ZariskiVerdict(kind, entry, plus, minus, tuple(reasoning))
+    )
+    return ZariskiVerdict("ordered_zariski_pair", entry, plus, minus, reasoning)

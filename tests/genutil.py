@@ -111,6 +111,18 @@ def two_fans(k: int, shift: int) -> Combinatorics:
     return Combinatorics([f"L{i}" for i in range(1, n + 1)], points)
 
 
+def block_swap(n: int, k: int) -> tuple[int, ...]:
+    """The line permutation carrying glue_combinatorics(C1, C2) onto
+    glue_combinatorics(C2, C1), for C1 on n and C2 on k lines: lines 1-3
+    stay and the two blocks of non-triangle lines trade places. For n = k
+    it swaps the two copies, an automorphism of glue_combinatorics(C, C).
+    """
+    return tuple(
+        i if i <= 3 else (i + k - 3 if i <= n else i - n + 3)
+        for i in range(1, n + k - 2)
+    )
+
+
 def fan_inner_cyclic(
     modulus: int, e: int, shift: int = 1
 ) -> tuple[Combinatorics, Character]:

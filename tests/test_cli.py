@@ -349,12 +349,16 @@ class TestZariski:
         assert obj["verdict"] == "ordered_zariski_pair"
         assert obj["values"] == ["z", "1"]
 
-    def test_aut_trivial_upgrade(self, capsys, seed_file):
-        code, obj, _ = invoke_json(
+    def test_aut_trivial_flag_rejected(self, capsys, seed_file):
+        # the glued combinatorics always has the copy swap, so there is no
+        # trivial group to upgrade on and no flag to claim one
+        code, out, err = invoke(
             capsys, "zariski", "--ledger", seed_file, "--entry", "M+", "--aut-trivial"
         )
-        assert code == 0
-        assert obj["verdict"] == "zariski_pair"
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err
+        assert "unrecognized arguments: --aut-trivial" in err
 
     def test_inconclusive_exits_one(self, capsys, tmp_path, seed_file):
         # doctor the seed: a real value (1) for the M+ entry

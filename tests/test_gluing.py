@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genutil import (
+    block_swap,
     random_arrangement,
     random_inner_cyclic,
     random_invertible_map,
@@ -34,6 +35,7 @@ from zarpair.gluing import (
     GluingSpec,
     _prime_pairs,
     _triangle_normalization,
+    _triangle_vertices,
     check_generic,
     check_gluing,
     find_generic_gluing,
@@ -47,6 +49,7 @@ from zarpair.realization import (
     ProjMap,
     apply_map,
     derive_combinatorics,
+    intersect,
 )
 
 ZERO, ONE = CycloNum.zero(3), CycloNum.one(3)
@@ -182,6 +185,76 @@ class TestCheckGeneric:
         assert not check_generic(mismatched)
 
 
+def coordinate_triangle(*extra):
+    """The lines x = 0, y = 0, z = 0, then lines with the given integer
+    coefficients, at order 3."""
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)] + list(extra)
+    return Arrangement(3, [
+        ProjLine(f"L{i}", tuple(CycloNum.from_rational(3, c) for c in row))
+        for i, row in enumerate(rows, 1)
+    ])
+
+
+def spec_onto(left, target):
+    """A spec whose map, diag(1, 2, 5), carries its right side onto
+    ``target``; the right side is ``target`` moved by the inverse map."""
+    phi = ProjMap([
+        [ONE, ZERO, ZERO],
+        [ZERO, CycloNum.from_rational(3, 2), ZERO],
+        [ZERO, ZERO, CycloNum.from_rational(3, 5)],
+    ])
+    return GluingSpec(left, apply_map(target, phi.inverse()), phi, 3)
+
+
+def off_triangle_points(arr):
+    return [p for p, through in arr.singular_points().items() if through[1] > 3]
+
+
+class TestGenericBranches:
+    """Each way a gluing along the coordinate triangle can stay or stop
+    being generic, with the map diag(1, 2, 5) in between."""
+
+    def test_extra_lines_through_a_shared_vertex(self):
+        # x = y and x = 2y both pass through the vertex [0 : 0 : 1] of
+        # lines 1 and 2; the glued arrangement merges them there
+        left = coordinate_triangle((1, -1, 0), (1, 1, 1))
+        target = coordinate_triangle((1, -2, 0), (1, 2, 3))
+        spec = spec_onto(left, target)
+        assert check_generic(spec)
+        glued = derive_combinatorics(glue_arrangements(spec))
+        expected = glue_combinatorics(
+            derive_combinatorics(left), derive_combinatorics(spec.right)
+        )
+        assert ordered_equal(glued, expected)
+        assert (1, 2, 4, 6) in glued.points
+
+    def test_right_point_on_an_unshared_left_line(self):
+        # the right lines 4 and 5 meet at [1 : 1 : -2], on left line 4
+        left = coordinate_triangle((1, 1, 1))
+        target = coordinate_triangle((1, 3, 2), (3, 1, 2))
+        spec = spec_onto(left, target)
+        assert intersect(target.line(4), target.line(5)).lies_on(left.line(4))
+        assert not any(
+            p.lies_on(img) for p in off_triangle_points(left) for img in spec._images[3:]
+        )
+        assert check_gluing(spec)
+        assert not check_generic(spec)
+
+    def test_left_point_on_an_unshared_image_line(self):
+        # the mirror: left lines 4 and 5 meet on the image of right line 4
+        left = coordinate_triangle((1, 3, 2), (3, 1, 2))
+        target = coordinate_triangle((1, 1, 1))
+        spec = spec_onto(left, target)
+        assert intersect(left.line(4), left.line(5)).lies_on(spec._images[3])
+        assert not any(
+            spec.map.apply_point(p).lies_on(l)
+            for p in off_triangle_points(spec.right)
+            for l in left.lines[3:]
+        )
+        assert check_gluing(spec)
+        assert not check_generic(spec)
+
+
 class TestFindGenericGluing:
     def test_catalog_pairs_within_budget(self, spec_pp, spec_pm):
         assert spec_pp.parameter is not None
@@ -222,16 +295,21 @@ class TestFindGenericGluing:
         assert found >= 2
 
 
+def catalog_pairs(m_plus, m_minus, r15):
+    """(R15, M+), (R15, M-), (M+, M-), and M+ against itself with lines 4
+    and 5 exchanged."""
+    swapped = Arrangement(3, [m_plus.line(i) for i in (1, 2, 3, 5, 4, 6, 7, 8, 9)])
+    return [(r15, m_plus), (r15, m_minus), (m_plus, m_minus), (m_plus, swapped)]
+
+
 class TestSearchAgainstPublicChecks:
     """The search decides as the public checks do on its candidates."""
 
     def test_search_succeeds_exactly_when_a_candidate_passes(
         self, m_plus, m_minus, r15
     ):
-        swapped = Arrangement(3, [m_plus.line(i) for i in (1, 2, 3, 5, 4, 6, 7, 8, 9)])
-        pairs = [(r15, m_plus), (r15, m_minus), (m_plus, m_minus), (m_plus, swapped)]
         rejected = 0
-        for left, right in pairs:
+        for left, right in catalog_pairs(m_plus, m_minus, r15):
             specs = candidate_specs(left, right, 10)
             passing = [check_gluing(spec) and check_generic(spec) for spec in specs]
             rejected += passing.count(False)
@@ -254,6 +332,106 @@ class TestSearchAgainstPublicChecks:
         assert [line.coeffs for line in spec._images] == [
             line.coeffs for line in m_plus.lines
         ]
+
+
+def reference_check_generic(spec: GluingSpec) -> bool:
+    """The earlier check_generic, kept verbatim as a reference: it maps the
+    triangle vertices and tests coincidences point by point."""
+    left, right, phi = spec.left, spec.right, spec.map
+    if spec.shared_count != 3:
+        return False
+    lv12, lv23, lv13 = _triangle_vertices(left)
+    rv12, rv23, rv13 = _triangle_vertices(right)
+    if (
+        phi.apply_point(rv12) != lv12
+        or phi.apply_point(rv23) != lv23
+        or phi.apply_point(rv13) != lv13
+    ):
+        return False
+
+    left_coeffs = {line.coeffs for line in left.lines}
+    images = spec._images[3:]
+    if any(img.coeffs in left_coeffs for img in images):
+        return False
+
+    vertices_left = {lv12, lv23, lv13}
+    vertices_right = {rv12, rv23, rv13}
+    sing_left = spec.left.singular_points()
+    sing_right = spec.right.singular_points()
+
+    # A right singular point on a right triangle line necessarily lands on
+    # the matching left triangle line; anything beyond that is a collision.
+    for p, through in sing_right.items():
+        if p in vertices_right:
+            continue
+        q = phi.apply_point(p)
+        if q in sing_left:
+            return False
+        for j, line in enumerate(left.lines, start=1):
+            if q.lies_on(line) and not (j <= 3 and j in through):
+                return False
+    for p in sing_left:
+        if p in vertices_left:
+            continue
+        if any(p.lies_on(img) for img in images):
+            return False
+    return True
+
+
+def decide(check, spec):
+    """The check's answer, or the type of the exception it raised."""
+    try:
+        return check(spec)
+    except Exception as exc:  # compared by type against the reference
+        return type(exc)
+
+
+def random_pair_specs(seed):
+    """Specs on a pair of random arrangements: the search's first six
+    candidates when both triangles normalize, an identity spec with three
+    shared lines, and the identity self-gluing of the left side."""
+    rng = random.Random(seed)
+    left = random_arrangement(rng, max_lines=6)
+    right = random_arrangement(rng, max_lines=6)
+    specs = [
+        GluingSpec(left, right, identity_map(), 3),
+        GluingSpec(left, left, identity_map(), 3),
+    ]
+    try:
+        specs += candidate_specs(left, right, 6)
+    except NoTriangleError:
+        pass  # a concurrent first triple; the identity specs still raise
+    return specs
+
+
+class TestGenericParity:
+    """check_generic decides as the reference does, on specs that include
+    non-generic gluings and triangles that cannot be glued along."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_pairs(self, seed):
+        for spec in random_pair_specs(seed):
+            assert decide(check_generic, spec) == decide(reference_check_generic, spec)
+
+    def test_catalog_and_seeded_pairs(self, m_plus, m_minus, r15):
+        specs = [
+            spec
+            for left, right in catalog_pairs(m_plus, m_minus, r15)
+            for spec in candidate_specs(left, right, 10)
+        ]
+        catalog_count = len(specs)
+        specs += [spec for seed in range(120) for spec in random_pair_specs(seed)]
+        answers = [decide(check_generic, spec) for spec in specs]
+        assert answers == [decide(reference_check_generic, spec) for spec in specs]
+        non_generic = [
+            i for i, (spec, answer) in enumerate(zip(specs, answers))
+            if answer is False and check_gluing(spec)
+        ]
+        # 6 among the catalog candidates, 9 among the seeded random ones
+        assert sum(i < catalog_count for i in non_generic) >= 5
+        assert sum(i >= catalog_count for i in non_generic) >= 5
+        assert NoTriangleError in answers
 
 
 @st.composite
@@ -370,13 +548,16 @@ class TestGlueCombinatorics:
             g12 = glue_combinatorics(c1, c2)
             g21 = glue_combinatorics(c2, c1)
             n, k = c1.n_lines, c2.n_lines
-            # explicit witness: swap the two blocks of non-triangle lines
-            witness = tuple(
-                i if i <= 3 else (i + k - 3 if i <= n else i - n + 3)
-                for i in range(1, n + k - 2)
-            )
-            assert ordered_equal(apply_line_permutation(g12, witness), g21)
+            assert ordered_equal(apply_line_permutation(g12, block_swap(n, k)), g21)
             assert is_isomorphic(g12, g21) is not None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_copy_swap_is_an_automorphism(self, seed):
+        c = random_triangle_safe_combinatorics(random.Random(seed))
+        glued = glue_combinatorics(c, c)
+        swap = block_swap(c.n_lines, c.n_lines)
+        assert ordered_equal(apply_line_permutation(glued, swap), glued)
 
 
 class TestGlueCharacters:

@@ -4,15 +4,17 @@ import random
 
 import pytest
 
-from genutil import fan_inner_cyclic, random_inner_cyclic
+from genutil import block_swap, fan_inner_cyclic, random_inner_cyclic
+from zarpair.automorphisms import enumerate_automorphisms
 from zarpair.catalog import (
     extended_maclane_explicit,
     maclane_character,
     seed_ledger,
 )
 from zarpair.characters import Character
-from zarpair.combinatorics import triangle_cycle
+from zarpair.combinatorics import ordered_equal, triangle_cycle
 from zarpair.cyclotomic import CycloNum
+from zarpair.gluing import glue_combinatorics
 from zarpair.invariant import (
     Ledger,
     LedgerEntry,
@@ -193,10 +195,20 @@ class TestDetectZariski:
         assert verdict.minus.value == CycloNum.one(4)
         assert verdict.check() == []
 
-    def test_trivial_automorphisms_upgrade(self, ledger):
-        verdict = detect_zariski(ledger.get("M+"), aut_trivial=True)
-        assert verdict.kind == "zariski_pair"
-        assert verdict.check() == []
+    def test_glued_group_contains_the_copy_swap(self, ledger):
+        # no upgrade past an ordered pair: the verdict's glued combinatorics
+        # has the automorphism that exchanges the two copies of M
+        verdict = detect_zariski(ledger.get("M+"))
+        cm = extended_maclane_explicit()
+        glued = glue_combinatorics(cm, cm)
+        assert ordered_equal(verdict.plus.character.base, glued)
+        group = enumerate_automorphisms(glued)
+        swap = block_swap(9, 9)
+        assert swap != tuple(range(1, 16))
+        assert swap in group
+        assert group.order == 144
+        with pytest.raises(TypeError):
+            detect_zariski(ledger.get("M+"), aut_trivial=True)
 
     def test_verdict_embeds_checkable_entries(self, ledger):
         verdict = detect_zariski(ledger.get("M+"))
