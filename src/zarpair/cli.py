@@ -79,11 +79,14 @@ def _write_json(obj, path: Optional[str]) -> None:
             handle.write(text)
 
 
+def _catalog_combinatorics(entry_id: str) -> Optional[Combinatorics]:
+    """The combinatorics of a catalog ledger id; None for any other id."""
+    make = CATALOG_COMBINATORICS.get(entry_id)
+    return make() if make else None
+
+
 def _load_ledger(path: str) -> Ledger:
-    return Ledger.from_obj(
-        _read_json(path),
-        comb_lookup=lambda entry_id: CATALOG_COMBINATORICS[entry_id](),
-    )
+    return Ledger.from_obj(_read_json(path), comb_lookup=_catalog_combinatorics)
 
 
 def _parse_cycle_arg(text: str) -> tuple[int, int, int]:
@@ -290,7 +293,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         print(f"zarpair: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError, RuntimeError, json.JSONDecodeError) as exc:
-        print(f"zarpair: error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument; print the message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"zarpair: error: {message}", file=sys.stderr)
         return 2
 
 

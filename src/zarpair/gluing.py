@@ -7,11 +7,16 @@ triangle vertices, no singular point of either side lies on an unshared
 line of the other side; generic gluings all produce the same
 combinatorics, which glue_combinatorics builds purely combinatorially.
 
-The constructive search normalizes both triangles onto the coordinate
-triangle, then walks a fixed sequence of diagonal maps diag(1, s, t) with
-(s, t) ranging over pairs of distinct primes. Genericity fails only on
-finitely many parameter choices, so the deterministic sequence finds a
-generic map quickly and reproducibly.
+Every triangle fact comes from one frame per side: F, the matrix whose
+rows are the coefficients of lines 1-3. Arrangements have no coinciding
+lines, so lines 1-3 form a triangle exactly when det F is nonzero; the
+columns of adj(F) are the vertices, and a point p is off the triangle
+exactly when F p has no zero entry. The constructive search normalizes
+both triangles onto the coordinate triangle by F^-1 diag(F ref), then
+walks a fixed sequence of diagonal maps diag(1, s, t) with (s, t) ranging
+over pairs of distinct primes. Genericity fails only on finitely many
+parameter choices, so the sequence finds a generic map quickly and
+reproducibly.
 
 A GluingSpec maps the right lines once, when it is made, and keeps the
 images; check_gluing, check_generic and glue_arrangements all read them.
@@ -26,15 +31,9 @@ from itertools import combinations
 from math import lcm
 
 from .characters import Character
-from .combinatorics import Combinatorics, NoTriangleError
-from .cyclotomic import CycloNum
-from .realization import (
-    Arrangement,
-    ProjLine,
-    ProjMap,
-    ProjPoint,
-    intersect,
-)
+from .combinatorics import Combinatorics, NoTriangleError, triangle_cycle
+from .cyclotomic import CycloNum, dot
+from .realization import Arrangement, ProjLine, ProjMap, _cross
 
 __all__ = [
     "GluingSpec",
@@ -70,66 +69,53 @@ class GluingSpec:
         object.__setattr__(self, "_images", images)
 
 
-def _triangle_vertices(arr: Arrangement) -> tuple[ProjPoint, ProjPoint, ProjPoint]:
-    """Pairwise intersections of the first three lines; error when there are
-    fewer than three lines or they are concurrent."""
-    if arr.n_lines < 3:
-        raise NoTriangleError(
-            f"{arr.n_lines} lines; a triangle to glue along needs three"
-        )
-    v12 = intersect(arr.line(1), arr.line(2))
-    v23 = intersect(arr.line(2), arr.line(3))
-    v13 = intersect(arr.line(1), arr.line(3))
-    if len({v12, v23, v13}) != 3:
+def _require_three_lines(n_lines: int) -> None:
+    if n_lines < 3:
+        raise NoTriangleError(f"{n_lines} lines; a triangle to glue along needs three")
+
+
+def _frame(arr: Arrangement) -> tuple:
+    """F, the matrix whose rows are the coefficients of lines 1-3; raises
+    NoTriangleError when there are fewer than three lines or det F = 0."""
+    _require_three_lines(arr.n_lines)
+    f = tuple(arr.line(i).coeffs for i in (1, 2, 3))
+    if dot(f[0], _cross(f[1], f[2])).is_zero():
         raise NoTriangleError(
             "the first three lines are concurrent; no triangle to glue along"
         )
-    return v12, v23, v13
+    return f
+
+
+def _reference_points(arr: Arrangement):
+    """Unnormalized candidates for the image of the unit point."""
+    if arr.n_lines >= 5:
+        yield _cross(arr.line(4).coeffs, arr.line(5).coeffs)
+    for t in range(1, 8):
+        yield tuple(CycloNum.from_rational(arr.order, t**k) for k in range(3))
 
 
 def _triangle_normalization(arr: Arrangement) -> ProjMap:
-    """The map sending the coordinate triangle x=0, y=0, z=0 onto the first
-    three lines of the arrangement.
+    """F^-1 diag(F ref), F the frame: it sends the coordinate triangle
+    x=0, y=0, z=0 onto lines 1-3 and the unit point (1, 1, 1) to ref.
 
-    Pinned uniquely by sending the unit point to a reference point: the
-    intersection of lines 4 and 5 when present and off the triangle, else
-    the first point [1 : t : t^2] off the triangle (a line meets that cubic
-    curve at most twice, so t <= 7 always suffices).
+    ref is the first point off the triangle (F ref has no zero entry) among
+    the intersection of lines 4 and 5 and the points [1 : t : t^2]. Those
+    lie on the conic y^2 = xz, which each triangle line meets at most
+    twice, so at most six values of t are excluded and t <= 7 suffices.
+    adj(F) stands in for F^-1, and one inverse scales the map so that the
+    image of (1, 0, 0) is the canonical vertex, with first nonzero entry 1.
     """
-    order = arr.order
-    v12, v23, v13 = _triangle_vertices(arr)
-    triangle = [arr.line(1), arr.line(2), arr.line(3)]
-
-    def off_triangle(p: ProjPoint) -> bool:
-        return not any(p.lies_on(line) for line in triangle)
-
-    ref: ProjPoint | None = None
-    if arr.n_lines >= 5:
-        candidate = intersect(arr.line(4), arr.line(5))
-        if off_triangle(candidate):
-            ref = candidate
-    if ref is None:
-        for t in range(1, 8):
-            candidate = ProjPoint(
-                (
-                    CycloNum.one(order),
-                    CycloNum.from_rational(order, t),
-                    CycloNum.from_rational(order, t * t),
-                )
-            )
-            if off_triangle(candidate):
-                ref = candidate
-                break
-    assert ref is not None
-
-    # Columns scale the vertex coordinates so the unit point maps to ref:
-    # solve V * lam = ref with V the matrix whose columns are the vertices.
-    v_cols = (v23.coords, v13.coords, v12.coords)  # images of e0, e1, e2
-    v_matrix = ProjMap([[v_cols[c][r] for c in range(3)] for r in range(3)])
-    lam = v_matrix.inverse().apply_point(ref).coords
-    return ProjMap(
-        [[v_cols[c][r] * lam[c] for c in range(3)] for r in range(3)]
+    f = _frame(arr)
+    weights = next(
+        w
+        for w in ([dot(row, ref) for row in f] for ref in _reference_points(arr))
+        if not any(x.is_zero() for x in w)
     )
+    vertices = (_cross(f[1], f[2]), _cross(f[2], f[0]), _cross(f[0], f[1]))
+    lead = next(x for x in vertices[0] if not x.is_zero())
+    scale = (lead * weights[0]).inverse()
+    weights = [w * scale for w in weights]
+    return ProjMap([[v[r] * w for v, w in zip(vertices, weights)] for r in range(3)])
 
 
 def _prime_pairs():
@@ -150,8 +136,8 @@ def check_gluing(spec: GluingSpec) -> bool:
     the first l right lines map onto the first l left lines, and no later
     right line maps onto a later left line."""
     left, right, l = spec.left, spec.right, spec.shared_count
-    _triangle_vertices(left)
-    _triangle_vertices(right)
+    _frame(left)
+    _frame(right)
     if l < 3 or l > min(left.n_lines, right.n_lines):
         return False
     images = spec._images
@@ -200,23 +186,14 @@ def find_generic_gluing(
         raise ValueError(
             f"cyclotomic orders differ ({left.order} vs {right.order}); lift first"
         )
-    order = left.order
     m_left = _triangle_normalization(left)
     m_right_inv = _triangle_normalization(right).inverse()
-
-    zero = CycloNum.zero(order)
-    one = CycloNum.one(order)
     pairs = _prime_pairs()
     for _ in range(max_candidates):
         s, t = next(pairs)
-        diag = ProjMap(
-            [
-                [one, zero, zero],
-                [zero, CycloNum.from_rational(order, s), zero],
-                [zero, zero, CycloNum.from_rational(order, t)],
-            ]
-        )
-        phi = m_left.compose(diag).compose(m_right_inv)
+        # m_left diag(1, s, t): columns 2 and 3 of m_left scaled by s and t
+        scaled = ProjMap([(a, b * s, c * t) for a, b, c in m_left.rows])
+        phi = scaled.compose(m_right_inv)
         spec = GluingSpec(left, right, phi, 3, parameter=(s, t))
         if check_gluing(spec) and check_generic(spec):
             return spec
@@ -250,12 +227,10 @@ def glue_combinatorics(c: Combinatorics, c2: Combinatorics) -> Combinatorics:
         report = comb.validate()
         if not report.ok:
             raise ValueError("cannot glue an invalid combinatorics: " + "; ".join(report.messages()))
+        _require_three_lines(comb.n_lines)
     n, k = c.n_lines, c2.n_lines
-    vertex_pairs = [(1, 2), (1, 3), (2, 3)]
-    verts_c = [c.point_through(i, j) for i, j in vertex_pairs]
-    verts_c2 = [c2.point_through(i, j) for i, j in vertex_pairs]
-    if len(set(verts_c)) != 3 or len(set(verts_c2)) != 3:
-        raise NoTriangleError("the first three lines are concurrent; cannot glue")
+    verts_c = triangle_cycle(c, 1, 2, 3).point_vertices
+    verts_c2 = triangle_cycle(c2, 1, 2, 3).point_vertices
 
     def shift(i: int) -> int:
         return i if i <= 3 else i + n - 3

@@ -297,6 +297,14 @@ class TestGlue:
         two = write(tmp_path, "two.json", arrangement([["1", "0", "0"], ["0", "1", "0"]]))
         assert_malformed(*invoke(capsys, "glue", two, two))
 
+    def test_glue_comb_on_fewer_than_three_lines_exits_two_in_one_line(
+        self, capsys, tmp_path
+    ):
+        two = write(tmp_path, "two.json", {"lines": ["A", "B"], "points": [[1, 2]]})
+        code, out, err = invoke(capsys, "glue-comb", two, two)
+        assert_malformed(code, out, err)
+        assert err == "zarpair: error: 2 lines; a triangle to glue along needs three\n"
+
     def test_glue_comb(self, capsys, tmp_path):
         _, comb_text, _ = invoke(capsys, "catalog", "ext-maclane-comb")
         path = tmp_path / "cm.json"
@@ -338,6 +346,23 @@ class TestInvariantCommands:
             capsys, "invariant", "conj", "--ledger", seed_file, "--entry", "nope"
         )
         assert code == 2
+        assert err == "zarpair: error: no ledger entry with id 'nope'\n"
+
+    def test_entry_without_combinatorics_outside_the_catalog(self, capsys, tmp_path):
+        entry = {
+            "id": "Q",
+            "modulus": 3,
+            "exponents": [0] * 9,
+            "cycle": [1, 2, 3],
+            "value": "1",
+            "provenance": "published: test",
+        }
+        path = write(tmp_path, "q.json", [entry])
+        code, out, err = invoke(capsys, "zariski", "--ledger", path, "--entry", "Q")
+        assert (code, out) == (2, "")
+        assert err == (
+            "zarpair: error: entry 'Q' carries no combinatorics and none was supplied\n"
+        )
 
 
 class TestZariski:

@@ -13,6 +13,7 @@ from genutil import (
     random_invertible_map,
     random_triangle_safe_combinatorics,
 )
+from zarpair import gluing, realization
 from zarpair.catalog import (
     extended_maclane_explicit,
     extended_maclane_realization,
@@ -35,7 +36,6 @@ from zarpair.gluing import (
     GluingSpec,
     _prime_pairs,
     _triangle_normalization,
-    _triangle_vertices,
     check_generic,
     check_gluing,
     find_generic_gluing,
@@ -47,6 +47,7 @@ from zarpair.realization import (
     Arrangement,
     ProjLine,
     ProjMap,
+    ProjPoint,
     apply_map,
     derive_combinatorics,
     intersect,
@@ -98,10 +99,11 @@ def r15(spec_pp):
 
 
 def candidate_specs(left, right, k):
-    """The first k candidate specs, built as the search builds them."""
+    """The first k candidate specs, built with the reference normalization
+    and an explicit diagonal map."""
     order = left.order
-    m_left = _triangle_normalization(left)
-    m_right_inv = _triangle_normalization(right).inverse()
+    m_left = reference_triangle_normalization(left)
+    m_right_inv = reference_triangle_normalization(right).inverse()
     zero, one = CycloNum.zero(order), CycloNum.one(order)
     specs = []
     for s, t in islice(_prime_pairs(), k):
@@ -159,6 +161,36 @@ class TestCheckGluing:
                 call(spec)
         with pytest.raises(NoTriangleError):
             find_generic_gluing(two, two)
+
+    def test_glue_combinatorics_on_fewer_than_three_lines_is_an_error(self):
+        two = Combinatorics(["A", "B"], [[1, 2]])
+        tri = Combinatorics(["A", "B", "C"], [[1, 2], [1, 3], [2, 3]])
+        for left, right in ((two, tri), (tri, two)):
+            with pytest.raises(
+                NoTriangleError, match="^2 lines; a triangle to glue along needs three$"
+            ):
+                glue_combinatorics(left, right)
+
+    def test_no_intersection_or_inverse(self, spec_pm, monkeypatch):
+        """check_gluing reads the triangle guard off det F: no vertex is
+        made or normalized."""
+        calls = {"inverse": 0, "intersect": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(CycloNum, "inverse", counted("inverse", CycloNum.inverse))
+        # counted in every module that binds the name, as imports copy it
+        for module in (realization, gluing):
+            if hasattr(module, "intersect"):
+                monkeypatch.setattr(
+                    module, "intersect", counted("intersect", module.intersect)
+                )
+        assert check_gluing(spec_pm)
+        assert calls == {"inverse": 0, "intersect": 0}
 
 
 class TestCheckGeneric:
@@ -334,14 +366,70 @@ class TestSearchAgainstPublicChecks:
         ]
 
 
+def reference_triangle_vertices(arr: Arrangement) -> tuple[ProjPoint, ProjPoint, ProjPoint]:
+    """Pairwise intersections of the first three lines; error when there are
+    fewer than three lines or they are concurrent."""
+    if arr.n_lines < 3:
+        raise NoTriangleError(
+            f"{arr.n_lines} lines; a triangle to glue along needs three"
+        )
+    v12 = intersect(arr.line(1), arr.line(2))
+    v23 = intersect(arr.line(2), arr.line(3))
+    v13 = intersect(arr.line(1), arr.line(3))
+    if len({v12, v23, v13}) != 3:
+        raise NoTriangleError(
+            "the first three lines are concurrent; no triangle to glue along"
+        )
+    return v12, v23, v13
+
+
+def reference_triangle_normalization(arr: Arrangement) -> ProjMap:
+    """The earlier normalization, kept verbatim as a reference: it builds
+    the vertex matrix, inverts it and solves for the reference point."""
+    order = arr.order
+    v12, v23, v13 = reference_triangle_vertices(arr)
+    triangle = [arr.line(1), arr.line(2), arr.line(3)]
+
+    def off_triangle(p: ProjPoint) -> bool:
+        return not any(p.lies_on(line) for line in triangle)
+
+    ref: ProjPoint | None = None
+    if arr.n_lines >= 5:
+        candidate = intersect(arr.line(4), arr.line(5))
+        if off_triangle(candidate):
+            ref = candidate
+    if ref is None:
+        for t in range(1, 8):
+            candidate = ProjPoint(
+                (
+                    CycloNum.one(order),
+                    CycloNum.from_rational(order, t),
+                    CycloNum.from_rational(order, t * t),
+                )
+            )
+            if off_triangle(candidate):
+                ref = candidate
+                break
+    assert ref is not None
+
+    # Columns scale the vertex coordinates so the unit point maps to ref:
+    # solve V * lam = ref with V the matrix whose columns are the vertices.
+    v_cols = (v23.coords, v13.coords, v12.coords)  # images of e0, e1, e2
+    v_matrix = ProjMap([[v_cols[c][r] for c in range(3)] for r in range(3)])
+    lam = v_matrix.inverse().apply_point(ref).coords
+    return ProjMap(
+        [[v_cols[c][r] * lam[c] for c in range(3)] for r in range(3)]
+    )
+
+
 def reference_check_generic(spec: GluingSpec) -> bool:
     """The earlier check_generic, kept verbatim as a reference: it maps the
     triangle vertices and tests coincidences point by point."""
     left, right, phi = spec.left, spec.right, spec.map
     if spec.shared_count != 3:
         return False
-    lv12, lv23, lv13 = _triangle_vertices(left)
-    rv12, rv23, rv13 = _triangle_vertices(right)
+    lv12, lv23, lv13 = reference_triangle_vertices(left)
+    rv12, rv23, rv13 = reference_triangle_vertices(right)
     if (
         phi.apply_point(rv12) != lv12
         or phi.apply_point(rv23) != lv23
@@ -434,6 +522,85 @@ class TestGenericParity:
         assert NoTriangleError in answers
 
 
+def lifted(arr, order):
+    """The arrangement with its coefficients lifted to ``order``."""
+    if order == arr.order:
+        return arr
+    return Arrangement(order, [
+        ProjLine(l.name, tuple(c.lift(order) for c in l.coeffs)) for l in arr.lines
+    ])
+
+
+def normalization_input(seed, order):
+    """M+, M- or random lines at ``order``, sometimes with line 3 put
+    through the point of lines 1 and 2 or cut to one or two lines, then
+    moved by a random map."""
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        lines = list(lifted(extended_maclane_realization(rng.choice("+-")), order).lines)
+    else:
+        lines = list(random_arrangement(rng, order, max_lines=7).lines)
+    shape = rng.choice(["as drawn", "concurrent", "cut"])
+    if shape == "concurrent":
+        c = rng.choice([-1, 1, 2])
+        third = ProjLine("C", tuple(
+            a + b * c for a, b in zip(lines[0].coeffs, lines[1].coeffs)
+        ))
+        lines = lines[:2] + [third] + [l for l in lines[3:] if not l.same_line(third)]
+    elif shape == "cut":
+        lines = lines[:rng.randint(1, 2)]
+    arr = Arrangement(order, lines)
+    return apply_map(arr, random_invertible_map(rng, order, rng.random() < 0.5))
+
+
+def normalization_branch(arr):
+    """The way the reference normalization goes on ``arr``."""
+    if arr.n_lines < 3:
+        return "fewer than 3 lines"
+    if intersect(arr.line(1), arr.line(2)).lies_on(arr.line(3)):
+        return "concurrent first triple"
+    if arr.n_lines < 5:
+        return "3 or 4 lines"
+    p = intersect(arr.line(4), arr.line(5))
+    if any(p.lies_on(arr.line(i)) for i in (1, 2, 3)):
+        return "lines 4 and 5 meet on the triangle"
+    return "lines 4 and 5 meet off the triangle"
+
+
+def assert_same_normalization(arr):
+    """Equal rows, or the same type of exception, as the reference."""
+    assert decide(lambda a: _triangle_normalization(a).rows, arr) == decide(
+        lambda a: reference_triangle_normalization(a).rows, arr
+    )
+
+
+class TestNormalizationParity:
+    """The frame normalization F^-1 diag(F ref) builds the matrix the
+    reference builds, or raises the same type of exception."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 12]))
+    def test_random_arrangements(self, seed, order):
+        assert_same_normalization(normalization_input(seed, order))
+
+    def test_every_branch_is_reached(self, m_plus, m_minus):
+        arrs = [m_plus, m_minus, lifted(m_plus, 12)] + [
+            normalization_input(seed, order) for seed in range(30) for order in (3, 12)
+        ]
+        reached = set()
+        for arr in arrs:
+            assert_same_normalization(arr)
+            reached.add(normalization_branch(arr))
+        assert normalization_branch(m_plus) == "lines 4 and 5 meet on the triangle"
+        assert reached == {
+            "fewer than 3 lines",
+            "concurrent first triple",
+            "3 or 4 lines",
+            "lines 4 and 5 meet on the triangle",
+            "lines 4 and 5 meet off the triangle",
+        }
+
+
 @st.composite
 def realization_images(draw, order):
     """M+ and M- (lifted to ``order``) moved by drawn projective maps."""
@@ -441,11 +608,7 @@ def realization_images(draw, order):
     rational = draw(st.booleans())
     sides = []
     for sign in draw(st.sampled_from([("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")])):
-        arr = extended_maclane_realization(sign)
-        if order != arr.order:
-            arr = Arrangement(order, [
-                ProjLine(l.name, tuple(c.lift(order) for c in l.coeffs)) for l in arr.lines
-            ])
+        arr = lifted(extended_maclane_realization(sign), order)
         sides.append(apply_map(arr, random_invertible_map(rng, order, rational)))
     return sides
 
