@@ -10,9 +10,8 @@ from ._kernel import BACKEND
 from .characters import Character, is_inner_cyclic_def, is_inner_cyclic_remark
 from .combinatorics import (
     Combinatorics,
-    Cycle,
-    IncidenceGraph,
     NoTriangleError,
+    Triangle,
     is_isomorphic,
     ordered_equal,
     triangle_cycle,

@@ -10,10 +10,10 @@ and invariant machinery.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Literal
+from typing import Literal, Sequence
 
 from .characters import Character
-from .combinatorics import Combinatorics, Cycle, triangle_cycle
+from .combinatorics import Combinatorics, triangle_cycle
 from .cyclotomic import CycloNum
 from .realization import Arrangement, ProjLine
 
@@ -133,6 +133,17 @@ def pf3_lines() -> list[tuple[tuple[int, int, int], ...]]:
     return lines
 
 
+def _with_double_points(
+    points: list[Sequence[int]], lines: range
+) -> list[Sequence[int]]:
+    """The points (sorted index sequences) plus a double point for every
+    pair of the given lines that none of them covers."""
+    covered = {pair for point in points for pair in combinations(point, 2)}
+    return list(points) + [
+        pair for pair in combinations(lines, 2) if pair not in covered
+    ]
+
+
 def extended_maclane_from_pf3() -> Combinatorics:
     """Build the extended MacLane combinatorics inside the plane over F_3.
 
@@ -158,15 +169,8 @@ def extended_maclane_from_pf3() -> Combinatorics:
         if len(members) >= 2:
             multi_points.append(members)
 
-    covered = {
-        pair for point in multi_points for pair in combinations(point, 2)
-    }
-    doubles = [
-        [i, j]
-        for i, j in combinations(range(1, 10), 2)
-        if (i, j) not in covered
-    ]
-    return Combinatorics([f"L{i}" for i in range(1, 10)], multi_points + doubles)
+    points = _with_double_points(multi_points, range(1, 10))
+    return Combinatorics([f"L{i}" for i in range(1, 10)], points)
 
 
 def maclane_combinatorics() -> Combinatorics:
@@ -181,16 +185,9 @@ def maclane_combinatorics() -> Combinatorics:
         trimmed = tuple(i for i in p if i != 1)
         if len(trimmed) >= 2:
             kept.append(trimmed)
-    covered = {pair for point in kept for pair in combinations(point, 2)}
-    doubles = [
-        (i, j)
-        for i, j in combinations(range(2, 10), 2)
-        if (i, j) not in covered
-    ]
     # Reindex lines 2..9 down to 1..8, keeping the original labels.
-    relabel = {old: new for new, old in enumerate(range(2, 10), start=1)}
     points = [
-        tuple(relabel[i] for i in p) for p in set(kept) | set(doubles)
+        tuple(i - 1 for i in p) for p in _with_double_points(kept, range(2, 10))
     ]
     return Combinatorics([f"L{i}" for i in range(2, 10)], points)
 
@@ -271,7 +268,7 @@ def build_extended_rybnikov(sign: Sign = "+"):
     the characters, and derives the invariant entry by multiplicativity from
     the seeded published values.
 
-    Returns (arrangement, character, cycle, ledger entry).
+    Returns (arrangement, character, triangle, ledger entry).
     """
     from .gluing import find_generic_gluing, glue_arrangements, glue_characters
     from .invariant import invariant_of_glued
@@ -283,7 +280,7 @@ def build_extended_rybnikov(sign: Sign = "+"):
     spec = find_generic_gluing(left, right)
     glued = glue_arrangements(spec)
     character = glue_characters(maclane_character(), maclane_character(), 3)
-    mu: Cycle = triangle_cycle(character.base, 1, 2, 3)
+    mu = triangle_cycle(character.base, 1, 2, 3)
 
     ledger = seed_ledger()
     entry = invariant_of_glued(

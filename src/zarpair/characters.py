@@ -1,11 +1,13 @@
 """Torsion characters on a combinatorics and the inner-cyclic tests.
 
 A character assigns each line a root of unity zeta_m^e with product one
-over all lines. It extends to point vertices of the incidence graph by
-multiplying the values of the lines through the point. A character is
-inner-cyclic for a cycle when everything at graph distance <= 1 from the
-cycle carries the value 1; the two test variants below implement the
-distance formulation and its three-condition restatement, which must agree.
+over all lines. It extends to the points by multiplying the values of the
+lines through the point. In the incidence graph, which joins each line to
+the points on it, a triangle is a cycle through three lines and their three
+pairwise points. A character is inner-cyclic for a triangle when every line
+and point at graph distance <= 1 from that cycle carries the value 1; the
+two test variants below implement the distance formulation and its
+three-condition restatement, which must agree.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .combinatorics import Combinatorics, Cycle, is_int_list
+from .combinatorics import Combinatorics, Triangle, is_int_list, triangle_cycle
 from .cyclotomic import CycloNum, check_order
 
 __all__ = ["Character", "is_inner_cyclic_def", "is_inner_cyclic_remark"]
@@ -76,42 +78,46 @@ class Character:
         return cls(base, obj.get("modulus"), tuple(exponents))
 
 
-def _check_cycle(comb: Combinatorics, cycle: Cycle) -> None:
-    if not cycle.is_cycle_of(comb.incidence_graph()):
-        raise ValueError("cycle is not a cycle of this incidence graph")
+def _check_triangle(comb: Combinatorics, triangle: Triangle) -> None:
+    if triangle_cycle(comb, *triangle.lines) != triangle:
+        raise ValueError("triangle does not live on this combinatorics")
 
 
-def is_inner_cyclic_def(comb: Combinatorics, char: Character, cycle: Cycle) -> bool:
-    """Distance formulation: every vertex at distance <= 1 from the cycle
-    has extended character value 1."""
-    _check_cycle(comb, cycle)
-    graph = comb.incidence_graph()
-    near = set(cycle.vertices)
-    for v in cycle.vertices:
-        near |= graph.neighbors(v)
-    for v in near:
-        if v[0] == "L":
-            if char.exponent_of_line(v[1]) != 0:
-                return False
-        else:
-            if char.point_exponent(v[1]) != 0:
-                return False
-    return True
+def is_inner_cyclic_def(
+    comb: Combinatorics, char: Character, triangle: Triangle
+) -> bool:
+    """Distance formulation: every line and point at distance <= 1 from the
+    triangle has extended character value 1.
+
+    The neighbours of a line are the points on it, and the neighbours of a
+    point are its lines.
+    """
+    _check_triangle(comb, triangle)
+    lines = set(triangle.lines)
+    near_lines = lines.union(*triangle.vertices)
+    near_points = set(triangle.vertices) | {
+        p for p in comb.points if not lines.isdisjoint(p)
+    }
+    return all(char.exponent_of_line(i) == 0 for i in near_lines) and all(
+        char.point_exponent(p) == 0 for p in near_points
+    )
 
 
-def is_inner_cyclic_remark(comb: Combinatorics, char: Character, cycle: Cycle) -> bool:
+def is_inner_cyclic_remark(
+    comb: Combinatorics, char: Character, triangle: Triangle
+) -> bool:
     """Three-condition restatement, each checked independently:
 
-    1. the lines supporting the cycle have value 1;
-    2. every line through a point vertex of the cycle has value 1;
-    3. every point lying on a support line has extended value 1.
+    1. the three lines of the triangle have value 1;
+    2. every line through a vertex of the triangle has value 1;
+    3. every point lying on a line of the triangle has extended value 1.
     """
-    _check_cycle(comb, cycle)
-    support = cycle.support
+    _check_triangle(comb, triangle)
+    support = triangle.lines
     cond1 = all(char.exponent_of_line(i) == 0 for i in support)
     cond2 = all(
         char.exponent_of_line(i) == 0
-        for point in cycle.point_vertices
+        for point in triangle.vertices
         for i in point
     )
     cond3 = all(

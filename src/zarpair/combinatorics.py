@@ -17,8 +17,7 @@ from . import _kernel
 
 __all__ = [
     "Combinatorics",
-    "IncidenceGraph",
-    "Cycle",
+    "Triangle",
     "NoTriangleError",
     "ValidationReport",
     "triangle_cycle",
@@ -26,8 +25,6 @@ __all__ = [
     "is_isomorphic",
     "apply_line_permutation",
 ]
-
-Vertex = tuple  # ("L", index) or ("P", point-tuple)
 
 
 def is_int_list(value) -> bool:
@@ -139,12 +136,6 @@ class Combinatorics:
     def points_on_line(self, i: int) -> tuple[tuple[int, ...], ...]:
         return tuple(p for p in self.points if i in p)
 
-    def incidence_graph(self) -> "IncidenceGraph":
-        graph = self.__dict__.get("_graph")
-        if graph is None:
-            graph = self.__dict__["_graph"] = IncidenceGraph(self)
-        return graph
-
     # -- serialization -----------------------------------------------------
 
     def to_obj(self) -> dict:
@@ -177,80 +168,33 @@ class Combinatorics:
         return f"Combinatorics({self.n_lines} lines, {len(self.points)} points)"
 
 
-class IncidenceGraph:
-    """Bipartite graph: line vertices ("L", i) joined to point vertices ("P", p)."""
-
-    def __init__(self, comb: Combinatorics):
-        # No reference back to comb: comb caches this graph, and a cycle would
-        # leave both to the cyclic collector instead of freeing them at once.
-        self.n_edges = sum(len(p) for p in comb.points)
-        self.line_vertices: tuple[Vertex, ...] = tuple(
-            ("L", i) for i in range(1, comb.n_lines + 1)
-        )
-        self.point_vertices: tuple[Vertex, ...] = tuple(("P", p) for p in comb.points)
-        adj: dict[Vertex, set[Vertex]] = {v: set() for v in self.line_vertices}
-        adj.update({v: set() for v in self.point_vertices})
-        for p in comb.points:
-            for i in p:
-                adj[("L", i)].add(("P", p))
-                adj[("P", p)].add(("L", i))
-        self._adj = adj
-
-    @property
-    def vertices(self) -> tuple[Vertex, ...]:
-        return self.line_vertices + self.point_vertices
-
-    def neighbors(self, v: Vertex) -> frozenset:
-        return frozenset(self._adj[v])
-
-    def is_edge(self, u: Vertex, v: Vertex) -> bool:
-        return u in self._adj and v in self._adj[u]
-
-
 @dataclass(frozen=True)
-class Cycle:
-    """Embedded cycle in an incidence graph, as its alternating vertex sequence.
+class Triangle:
+    """Three lines of a combinatorics that are not concurrent, with the
+    points where they meet pairwise.
 
-    The sequence starts with a line vertex and closes back to it; vertices do
-    not repeat. The shortest nontrivial cycle alternates through 3 lines and
-    3 points (length 6).
+    ``lines`` is (i, j, k) in traversal order, which files write back as
+    given; ``vertices`` is (p_ij, p_jk, p_ik). A triangle belongs to a
+    combinatorics exactly when triangle_cycle rebuilds it there from its
+    lines.
     """
 
-    vertices: tuple[Vertex, ...]
-
-    def __post_init__(self):
-        vs = self.vertices
-        if len(vs) < 6 or len(vs) % 2 != 0:
-            raise ValueError(f"cycle needs an even length >= 6, got {len(vs)}")
-        if len(set(vs)) != len(vs):
-            raise ValueError("cycle repeats a vertex")
-        for k, v in enumerate(vs):
-            want = "L" if k % 2 == 0 else "P"
-            if v[0] != want:
-                raise ValueError("cycle must alternate line and point vertices")
-
-    @property
-    def support(self) -> frozenset[int]:
-        """Indices of the lines whose vertices lie on the cycle."""
-        return frozenset(v[1] for v in self.vertices if v[0] == "L")
-
-    @property
-    def point_vertices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(v[1] for v in self.vertices if v[0] == "P")
-
-    def edges(self) -> list[tuple[Vertex, Vertex]]:
-        vs = self.vertices
-        return [(vs[k], vs[(k + 1) % len(vs)]) for k in range(len(vs))]
-
-    def is_cycle_of(self, graph: IncidenceGraph) -> bool:
-        return all(graph.is_edge(u, v) for u, v in self.edges())
+    lines: tuple[int, int, int]
+    vertices: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def triangle_cycle(comb: Combinatorics, i: int, j: int, k: int) -> Cycle:
-    """The 6-vertex cycle through lines i, j, k and their pairwise points.
+def triangle_cycle(comb: Combinatorics, i: int, j: int, k: int) -> Triangle:
+    """The triangle through lines i, j, k and their pairwise points.
 
     Raises NoTriangleError when the three lines are concurrent (the pairwise
     points coincide, so there is no triangle).
+
+    >>> from zarpair.catalog import extended_maclane_explicit
+    >>> t = triangle_cycle(extended_maclane_explicit(), 4, 5, 7)
+    >>> t.lines
+    (4, 5, 7)
+    >>> t.vertices
+    ((1, 4, 5, 6), (5, 7), (3, 4, 7))
     """
     if len({i, j, k}) != 3:
         raise ValueError(f"need three distinct lines, got ({i},{j},{k})")
@@ -261,9 +205,7 @@ def triangle_cycle(comb: Combinatorics, i: int, j: int, k: int) -> Cycle:
         raise NoTriangleError(
             f"lines {i},{j},{k} are concurrent: no triangle through them"
         )
-    return Cycle(
-        (("L", i), ("P", p_ij), ("L", j), ("P", p_jk), ("L", k), ("P", p_ik))
-    )
+    return Triangle((i, j, k), (p_ij, p_jk, p_ik))
 
 
 def ordered_equal(c1: Combinatorics, c2: Combinatorics) -> bool:

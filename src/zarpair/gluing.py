@@ -1,11 +1,11 @@
 """Gluing two arrangements along a shared triangle.
 
-A gluing is a projective map carrying the first l >= 3 lines of the right
-arrangement onto the first l lines of the left one, with no accidental line
-coincidences elsewhere. It is generic when l = 3 and, apart from the
-triangle vertices, no singular point of either side lies on an unshared
-line of the other side; generic gluings all produce the same
-combinatorics, which glue_combinatorics builds purely combinatorially.
+A gluing is a projective map carrying lines 1-3 of the right arrangement
+onto lines 1-3 of the left one, with no accidental line coincidences
+elsewhere. It is generic when, apart from the triangle vertices, no
+singular point of either side lies on an unshared line of the other side;
+generic gluings all produce the same combinatorics, which
+glue_combinatorics builds purely combinatorially.
 
 Every triangle fact comes from one frame per side: F, the matrix whose
 rows are the coefficients of lines 1-3. Arrangements have no coinciding
@@ -53,13 +53,12 @@ class GluingSearchExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class GluingSpec:
-    """A candidate gluing: left and right arrangements, the map, and the
-    number of shared lines."""
+    """A candidate gluing along lines 1-3: left and right arrangements and
+    the map."""
 
     left: Arrangement
     right: Arrangement
     map: ProjMap
-    shared_count: int
     parameter: tuple[int, int] | None = None  # (s, t) when found by search
     # the images of the right lines under the map, shared by every check
     _images: tuple[ProjLine, ...] = field(init=False, repr=False, compare=False)
@@ -132,29 +131,26 @@ def _prime_pairs():
 
 
 def check_gluing(spec: GluingSpec) -> bool:
-    """Both gluing conditions for the declared number of shared lines:
-    the first l right lines map onto the first l left lines, and no later
-    right line maps onto a later left line."""
-    left, right, l = spec.left, spec.right, spec.shared_count
+    """Both gluing conditions along the triangle: right lines 1-3 map onto
+    left lines 1-3, and no later right line maps onto a later left line."""
+    left = spec.left
     _frame(left)
-    _frame(right)
-    if l < 3 or l > min(left.n_lines, right.n_lines):
-        return False
+    _frame(spec.right)
     images = spec._images
-    for i in range(l):
+    for i in range(3):
         if images[i].coeffs != left.lines[i].coeffs:
             return False
-    tail_left = {line.coeffs for line in left.lines[l:]}
-    for img in images[l:]:
+    tail_left = {line.coeffs for line in left.lines[3:]}
+    for img in images[3:]:
         if img.coeffs in tail_left:
             return False
     return True
 
 
 def check_generic(spec: GluingSpec) -> bool:
-    """Genericity: a gluing (check_gluing) along l = 3 lines in which, apart
-    from the triangle vertices, no singular point of either side lies on an
-    unshared line of the other side.
+    """Genericity: a gluing (check_gluing) in which, apart from the triangle
+    vertices, no singular point of either side lies on an unshared line of
+    the other side.
 
     A vertex is a singular point with two of lines 1-3 through it. Right
     points are mapped and tested against the unshared left lines, left
@@ -163,7 +159,7 @@ def check_generic(spec: GluingSpec) -> bool:
     triangle line lands on that same left line and a vertex on a vertex;
     every new incidence is then an honest double point.
     """
-    if not (spec.shared_count == 3 and check_gluing(spec)):
+    if not check_gluing(spec):
         return False
     # ``through`` is sorted, so its second line is one of 1-3 at a vertex
     left_tail, image_tail = spec.left.lines[3:], spec._images[3:]
@@ -194,7 +190,7 @@ def find_generic_gluing(
         # m_left diag(1, s, t): columns 2 and 3 of m_left scaled by s and t
         scaled = ProjMap([(a, b * s, c * t) for a, b, c in m_left.rows])
         phi = scaled.compose(m_right_inv)
-        spec = GluingSpec(left, right, phi, 3, parameter=(s, t))
+        spec = GluingSpec(left, right, phi, parameter=(s, t))
         if check_gluing(spec) and check_generic(spec):
             return spec
     raise GluingSearchExhausted(
@@ -208,7 +204,7 @@ def glue_arrangements(spec: GluingSpec) -> Arrangement:
     right lines (kept by the spec), renamed D1..Dd."""
     if not check_gluing(spec):
         raise ValueError("not a gluing: the declared map fails the gluing conditions")
-    lines = list(spec.left.lines) + list(spec._images[spec.shared_count:])
+    lines = list(spec.left.lines) + list(spec._images[3:])
     renamed = [
         ProjLine(f"D{i}", line.coeffs) for i, line in enumerate(lines, start=1)
     ]
@@ -216,7 +212,7 @@ def glue_arrangements(spec: GluingSpec) -> Arrangement:
 
 
 def glue_combinatorics(c: Combinatorics, c2: Combinatorics) -> Combinatorics:
-    """The combinatorics of any generic (l = 3) gluing of realizations.
+    """The combinatorics of any generic gluing of realizations.
 
     Keeps all points of the first structure, merges the three triangle
     vertex points, shifts the second structure's other points past the
@@ -229,8 +225,8 @@ def glue_combinatorics(c: Combinatorics, c2: Combinatorics) -> Combinatorics:
             raise ValueError("cannot glue an invalid combinatorics: " + "; ".join(report.messages()))
         _require_three_lines(comb.n_lines)
     n, k = c.n_lines, c2.n_lines
-    verts_c = triangle_cycle(c, 1, 2, 3).point_vertices
-    verts_c2 = triangle_cycle(c2, 1, 2, 3).point_vertices
+    verts_c = triangle_cycle(c, 1, 2, 3).vertices
+    verts_c2 = triangle_cycle(c2, 1, 2, 3).vertices
 
     def shift(i: int) -> int:
         return i if i <= 3 else i + n - 3
@@ -258,32 +254,16 @@ def glue_combinatorics(c: Combinatorics, c2: Combinatorics) -> Combinatorics:
     return Combinatorics([f"D{i}" for i in range(1, n + k - 2)], points)
 
 
-def glue_characters(
-    x: Character, x2: Character, l: int, base: Combinatorics | None = None
-) -> Character:
-    """The glued character: shared lines multiply their values, the rest
-    carry over; moduli are reconciled by lcm."""
-    n, k = x.base.n_lines, x2.base.n_lines
-    if l < 0 or l > min(n, k):
-        raise ValueError(f"shared count {l} out of range for {n} and {k} lines")
-    d = n + k - l
+def glue_characters(x: Character, x2: Character, l: int) -> Character:
+    """The glued character on glue_combinatorics of the two bases: the l = 3
+    shared lines multiply their values, the rest carry over; moduli are
+    reconciled by lcm."""
+    if l != 3:
+        raise ValueError(f"characters glue along a triangle (l = 3), got l = {l}")
+    # first, so that fewer than three lines raise NoTriangleError
+    base = glue_combinatorics(x.base, x2.base)
     modulus = lcm(x.modulus, x2.modulus)
     e = [v * (modulus // x.modulus) for v in x.exponents]
     e2 = [v * (modulus // x2.modulus) for v in x2.exponents]
-    exponents = (
-        [e[i] + e2[i] for i in range(l)]
-        + e[l:n]
-        + e2[l:k]
-    )
-    if base is None:
-        if l != 3:
-            raise ValueError(
-                "a target combinatorics is required unless the gluing is "
-                "along a triangle (l = 3)"
-            )
-        base = glue_combinatorics(x.base, x2.base)
-    if base.n_lines != d:
-        raise ValueError(
-            f"target combinatorics has {base.n_lines} lines, expected {d}"
-        )
+    exponents = [e[i] + e2[i] for i in range(3)] + e[3:] + e2[3:]
     return Character(base, modulus, tuple(exponents))

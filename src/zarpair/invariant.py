@@ -1,7 +1,6 @@
 """The ledgered invariant and the Zariski-pair verdicts.
 
-Invariant values attached to (arrangement, character, triangle cycle)
-triples enter the ledger as published data and propagate by two exact
+Invariant values attached to (arrangement, character, triangle) triples enter the ledger as published data and propagate by two exact
 rules: a generic triangle gluing multiplies the two values, and conjugating
 the arrangement conjugates the value. A non-real value then certifies an
 ordered Zariski pair: gluing the arrangement with itself gives value v*v,
@@ -17,7 +16,7 @@ from math import lcm
 from typing import Iterable, Literal, Optional
 
 from .characters import Character, is_inner_cyclic_def
-from .combinatorics import Combinatorics, Cycle, is_int_list, triangle_cycle
+from .combinatorics import Combinatorics, Triangle, is_int_list, triangle_cycle
 from .cyclotomic import CycloNum, parse_cyclo
 from .gluing import glue_characters
 
@@ -39,7 +38,7 @@ class LedgerEntry:
 
     id: str
     character: Character
-    cycle: Cycle
+    cycle: Triangle
     value: CycloNum
     provenance: Provenance
     citation: str
@@ -49,8 +48,6 @@ class LedgerEntry:
         problems = []
         if self.provenance not in ("published", "multiplicativity", "conjugation"):
             problems.append(f"unknown provenance kind {self.provenance!r}")
-        if len(self.cycle.support) != 3:
-            problems.append("cycle is not triangular")
         if self.value.order != self.character.modulus:
             problems.append(
                 f"value lives at order {self.value.order}, "
@@ -67,19 +64,12 @@ class LedgerEntry:
             problems.append("cycle does not live on the combinatorics")
         return problems
 
-    def support_triple(self) -> tuple[int, int, int]:
-        """The cycle's support lines in traversal order."""
-        lines = tuple(v[1] for v in self.cycle.vertices if v[0] == "L")
-        if len(lines) != 3:
-            raise ValueError("ledger entries require a triangular cycle")
-        return lines  # type: ignore[return-value]
-
     def to_obj(self, include_combinatorics: bool = True) -> dict:
         obj = {
             "id": self.id,
             "modulus": self.character.modulus,
             "exponents": list(self.character.exponents),
-            "cycle": list(self.support_triple()),
+            "cycle": list(self.cycle.lines),
             "value": str(self.value),
             "provenance": f"{self.provenance}: {self.citation}",
         }
@@ -173,7 +163,7 @@ class Ledger:
 
 
 def _require_first_triangle(entry: LedgerEntry) -> None:
-    if set(entry.support_triple()) != {1, 2, 3}:
+    if set(entry.cycle.lines) != {1, 2, 3}:
         raise ValueError(
             f"entry {entry.id!r} is not supported by the first three lines; "
             "gluing derivations need the cycle on the shared triangle"
@@ -186,7 +176,7 @@ def invariant_of_glued(
     new_id: str | None = None,
     gluing=None,
 ) -> LedgerEntry:
-    """Entry for the glued arrangement: glued character, triangle cycle on
+    """Entry for the glued arrangement: glued character, the triangle of
     the shared lines, and the product of the two values.
 
     An explicit gluing (a GluingSpec) may be supplied for cross-checking;

@@ -134,7 +134,7 @@ class TestBuildPipeline:
         arr, char, mu, entry = build_extended_rybnikov("+")
         assert arr.n_lines == 15
         assert entry.value == CycloNum.zeta(3)
-        assert mu.support == {1, 2, 3}
+        assert mu.lines == (1, 2, 3)
         assert is_inner_cyclic_def(char.base, char, mu)
         assert ordered_equal(derive_combinatorics(arr), rybnikov_explicit())
 

@@ -22,7 +22,7 @@ from zarpair.characters import (
     is_inner_cyclic_def,
     is_inner_cyclic_remark,
 )
-from zarpair.combinatorics import triangle_cycle
+from zarpair.combinatorics import apply_line_permutation, triangle_cycle
 from zarpair.cyclotomic import CycloNum
 
 
@@ -124,6 +124,16 @@ class TestInnerCyclic:
         with pytest.raises(ValueError):
             is_inner_cyclic_def(cm, xi, foreign)
 
+    def test_triangle_with_the_same_lines_elsewhere_rejected(self, cm, xi):
+        # lines (1, 2, 3) exist on M, but this triangle's vertices are those
+        # of M with lines 3 and 4 swapped
+        swapped = apply_line_permutation(cm, (1, 2, 4, 3, 5, 6, 7, 8, 9))
+        foreign = triangle_cycle(swapped, 1, 2, 3)
+        assert foreign.vertices == ((1, 2), (2, 3, 9), (1, 3, 5, 6))
+        for test in (is_inner_cyclic_def, is_inner_cyclic_remark):
+            with pytest.raises(ValueError, match="does not live"):
+                test(cm, xi, foreign)
+
 
 def test_definitions_agree_on_randomized_characters():
     """The distance test equals the three-condition test, 1000+ samples."""
@@ -171,7 +181,7 @@ def test_remark_condition_two_follows_from_one_and_three():
     rng = random.Random(1234)
     comb = extended_maclane_explicit()
     cycle = triangle_cycle(comb, 1, 2, 3)
-    support = cycle.support
+    support = cycle.lines
     for _ in range(500):
         char = random_character(rng, comb, rng.choice([2, 3, 4, 6]))
         cond1 = all(char.exponent_of_line(i) == 0 for i in support)
@@ -182,7 +192,7 @@ def test_remark_condition_two_follows_from_one_and_three():
         )
         cond2 = all(
             char.exponent_of_line(i) == 0
-            for point in cycle.point_vertices
+            for point in cycle.vertices
             for i in point
         )
         if cond1 and cond3:

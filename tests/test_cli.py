@@ -385,6 +385,16 @@ class TestZariski:
         assert "usage:" in err
         assert "unrecognized arguments: --aut-trivial" in err
 
+    def test_triangle_in_another_traversal_order(self, capsys, tmp_path, seed_file):
+        entries = json.loads(open(seed_file).read())
+        assert entries[0]["id"] == "M+"
+        entries[0]["cycle"] = [3, 1, 2]
+        path = write(tmp_path, "permuted.json", entries)
+        code, obj, _ = invoke_json(capsys, "zariski", "--ledger", path, "--entry", "M+")
+        assert code == 0
+        assert obj["base"]["cycle"] == [3, 1, 2]
+        assert obj["values"] == ["z", "1"]
+
     def test_inconclusive_exits_one(self, capsys, tmp_path, seed_file):
         # doctor the seed: a real value (1) for the M+ entry
         entries = json.loads(open(seed_file).read())

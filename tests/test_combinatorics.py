@@ -1,4 +1,5 @@
-"""Incidence axioms, graphs, cycles and isomorphism on the catalog data."""
+"""Incidence axioms, the incidence graph, triangles and isomorphism on the
+catalog data."""
 
 import gc
 import random
@@ -16,6 +17,7 @@ from zarpair.catalog import (
 from zarpair.combinatorics import (
     Combinatorics,
     NoTriangleError,
+    Triangle,
     apply_line_permutation,
     is_isomorphic,
     ordered_equal,
@@ -72,23 +74,24 @@ class TestPointThrough:
 
 
 class TestIncidenceGraph:
+    """The incidence graph joins each line to the points on it; it is read
+    straight from the points, with no graph object of its own."""
+
     def test_extended_maclane_counts(self, cm):
-        graph = cm.incidence_graph()
-        assert len(graph.vertices) == 9 + 14 == 23
+        assert cm.n_lines + len(cm.points) == 9 + 14 == 23
         # edge count is the total point multiplicity
-        assert graph.n_edges == sum(len(p) for p in cm.points) == 38
+        assert sum(len(cm.points_on_line(i)) for i in range(1, 10)) == 38
+        assert sum(len(p) for p in cm.points) == 38
 
     def test_two_lines_one_point_is_a_path(self):
         comb = Combinatorics(["A", "B"], [[1, 2]])
-        graph = comb.incidence_graph()
-        assert len(graph.vertices) == 3
-        assert graph.n_edges == 2
+        assert comb.points_on_line(1) == comb.points_on_line(2) == ((1, 2),)
 
     def test_cached_graph_frees_with_its_structure(self):
-        # the graph must not point back at the structure that caches it, or
-        # both would wait for the cyclic collector
+        # the line-pair table cached on the structure must not point back at
+        # it, or both would wait for the cyclic collector
         comb = extended_maclane_explicit()
-        comb.incidence_graph()
+        comb.point_through(1, 2)
         ref = weakref.ref(comb)
         gc.disable()
         try:
@@ -98,24 +101,21 @@ class TestIncidenceGraph:
             gc.enable()
 
     def test_rybnikov_counts(self, cr):
-        assert len(cr.incidence_graph().vertices) == 15 + 61 == 76
+        assert cr.n_lines + len(cr.points) == 15 + 61 == 76
 
     def test_bipartite_no_isolated_points(self, cm):
-        graph = cm.incidence_graph()
-        for v in graph.point_vertices:
-            assert graph.neighbors(v)
-            assert all(u[0] == "L" for u in graph.neighbors(v))
-        for v in graph.line_vertices:
-            assert all(u[0] == "P" for u in graph.neighbors(v))
+        for i in range(1, cm.n_lines + 1):
+            assert cm.points_on_line(i)
+            assert all(i in p for p in cm.points_on_line(i))
+        for p in cm.points:
+            assert p
+            assert all(p in cm.points_on_line(i) for i in p)
 
 
 class TestTriangleCycle:
     def test_catalog_triangle(self, cm):
-        cycle = triangle_cycle(cm, 1, 2, 3)
-        assert cycle.support == {1, 2, 3}
-        assert cycle.vertices[0] == ("L", 1)
-        assert cycle.point_vertices == ((1, 2), (2, 3), (1, 3))
-        assert cycle.is_cycle_of(cm.incidence_graph())
+        triangle = triangle_cycle(cm, 1, 2, 3)
+        assert triangle == Triangle((1, 2, 3), ((1, 2), (2, 3), (1, 3)))
 
     def test_concurrent_lines_have_no_triangle(self):
         near_pencil = Combinatorics(
@@ -127,13 +127,20 @@ class TestTriangleCycle:
 
     def test_rybnikov_triangle(self, cr):
         mu = triangle_cycle(cr, 1, 2, 3)
-        assert mu.support == {1, 2, 3}
-        assert mu.is_cycle_of(cr.incidence_graph())
+        assert mu.lines == (1, 2, 3)
+        assert mu.vertices == ((1, 2), (2, 3), (1, 3))
+        assert all(v in cr.points for v in mu.vertices)
 
     def test_support_is_exactly_the_three_lines(self, cm):
-        cycle = triangle_cycle(cm, 4, 5, 7)
-        assert cycle.support == {4, 5, 7}
-        assert cycle.point_vertices == ((1, 4, 5, 6), (5, 7), (3, 4, 7))
+        triangle = triangle_cycle(cm, 4, 5, 7)
+        assert triangle.lines == (4, 5, 7)
+        assert triangle.vertices == ((1, 4, 5, 6), (5, 7), (3, 4, 7))
+
+    def test_lines_keep_traversal_order(self, cm):
+        triangle = triangle_cycle(cm, 3, 1, 2)
+        assert triangle.lines == (3, 1, 2)
+        assert triangle.vertices == ((1, 3), (1, 2), (2, 3))
+        assert triangle != triangle_cycle(cm, 1, 2, 3)
 
 
 class TestEqualityAndIsomorphism:

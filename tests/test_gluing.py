@@ -113,18 +113,13 @@ def candidate_specs(left, right, k):
             [zero, zero, CycloNum.from_rational(order, t)],
         ])
         phi = m_left.compose(diag).compose(m_right_inv)
-        specs.append(GluingSpec(left, right, phi, 3, parameter=(s, t)))
+        specs.append(GluingSpec(left, right, phi, parameter=(s, t)))
     return specs
 
 
 class TestCheckGluing:
-    def test_identity_self_gluing_full_overlap(self, m_plus):
-        spec = GluingSpec(m_plus, m_plus, identity_map(), shared_count=9)
-        assert check_gluing(spec)
-
     def test_found_gluing_passes(self, spec_pp):
         assert check_gluing(spec_pp)
-        assert spec_pp.shared_count == 3
 
     def test_line_collision_fails(self, m_plus):
         # right arrangement with lines 4 and 5 swapped: the identity then
@@ -137,7 +132,7 @@ class TestCheckGluing:
             ]
             + [m_plus.line(i) for i in range(6, 10)],
         )
-        spec = GluingSpec(m_plus, swapped, identity_map(), shared_count=3)
+        spec = GluingSpec(m_plus, swapped, identity_map())
         assert not check_gluing(spec)
 
     def test_concurrent_triangle_is_an_error(self):
@@ -149,13 +144,13 @@ class TestCheckGluing:
                 ProjLine("P3", (ONE, -ONE, ZERO)),
             ],
         )
-        spec = GluingSpec(pencil, pencil, identity_map(), shared_count=3)
+        spec = GluingSpec(pencil, pencil, identity_map())
         with pytest.raises(NoTriangleError):
             check_gluing(spec)
 
     def test_fewer_than_three_lines_is_an_error(self):
         two = Arrangement(3, triangle_arrangement().lines[:2])
-        spec = GluingSpec(two, two, identity_map(), shared_count=3)
+        spec = GluingSpec(two, two, identity_map())
         for call in (check_gluing, check_generic):
             with pytest.raises(NoTriangleError):
                 call(spec)
@@ -199,10 +194,8 @@ class TestCheckGeneric:
         assert check_generic(spec_pm)
 
     def test_identity_self_gluing_is_not_generic(self, m_plus):
-        spec = GluingSpec(m_plus, m_plus, identity_map(), shared_count=9)
-        assert not check_generic(spec)  # l != 3
-        spec3 = GluingSpec(m_plus, m_plus, identity_map(), shared_count=3)
-        assert not check_generic(spec3)  # every line and point collides
+        spec = GluingSpec(m_plus, m_plus, identity_map())
+        assert not check_generic(spec)  # every line and point collides
 
     def test_wrong_vertex_matching_fails(self, m_plus):
         # glue against the arrangement with lines 2 and 3 exchanged: the
@@ -213,7 +206,7 @@ class TestCheckGeneric:
             + [m_plus.line(i) for i in range(4, 10)],
         )
         spec = find_generic_gluing(swapped, swapped)
-        mismatched = GluingSpec(m_plus, swapped, spec.map, shared_count=3)
+        mismatched = GluingSpec(m_plus, swapped, spec.map)
         assert not check_generic(mismatched)
 
 
@@ -359,7 +352,7 @@ class TestSearchAgainstPublicChecks:
         assert rejected >= 2
 
     def test_all_colliding_spec_fails_public_checks(self, m_plus):
-        spec = GluingSpec(m_plus, m_plus, identity_map(), shared_count=3)
+        spec = GluingSpec(m_plus, m_plus, identity_map())
         assert not check_gluing(spec) and not check_generic(spec)
         assert [line.coeffs for line in spec._images] == [
             line.coeffs for line in m_plus.lines
@@ -426,8 +419,6 @@ def reference_check_generic(spec: GluingSpec) -> bool:
     """The earlier check_generic, kept verbatim as a reference: it maps the
     triangle vertices and tests coincidences point by point."""
     left, right, phi = spec.left, spec.right, spec.map
-    if spec.shared_count != 3:
-        return False
     lv12, lv23, lv13 = reference_triangle_vertices(left)
     rv12, rv23, rv13 = reference_triangle_vertices(right)
     if (
@@ -642,14 +633,8 @@ class TestGlueArrangements:
         assert ordered_equal(derive_combinatorics(r_plus), explicit)
         assert ordered_equal(derive_combinatorics(r_minus), explicit)
 
-    def test_full_overlap_returns_left(self, m_plus):
-        spec = GluingSpec(m_plus, m_plus, identity_map(), shared_count=9)
-        glued = glue_arrangements(spec)
-        assert glued.n_lines == 9
-        assert [l.coeffs for l in glued.lines] == [l.coeffs for l in m_plus.lines]
-
     def test_failing_conditions_rejected(self, m_plus):
-        spec = GluingSpec(m_plus, m_plus, identity_map(), shared_count=3)
+        spec = GluingSpec(m_plus, m_plus, identity_map())
         with pytest.raises(ValueError):
             glue_arrangements(spec)
 
@@ -763,10 +748,16 @@ class TestGlueCharacters:
             assert sum(glued.exponents) % glued.modulus == 0
 
     def test_length_mismatch_rejected(self):
-        cm = extended_maclane_explicit()
+        # characters glue along a triangle: exactly three shared lines
         xi = maclane_character()
-        with pytest.raises(ValueError):
-            glue_characters(xi, xi, 3, base=cm)  # wrong target line count
+        for l in (0, 2, 4, 9):
+            with pytest.raises(ValueError, match="l = 3"):
+                glue_characters(xi, xi, l)
+
+    def test_fewer_than_three_lines_is_an_error(self):
+        two = Character.trivial(Combinatorics(["A", "B"], [[1, 2]]), 3)
+        with pytest.raises(NoTriangleError):
+            glue_characters(two, two, 3)
 
 
 def test_glued_triple_is_inner_cyclic_on_catalog():

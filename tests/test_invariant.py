@@ -12,7 +12,11 @@ from zarpair.catalog import (
     seed_ledger,
 )
 from zarpair.characters import Character
-from zarpair.combinatorics import ordered_equal, triangle_cycle
+from zarpair.combinatorics import (
+    apply_line_permutation,
+    ordered_equal,
+    triangle_cycle,
+)
 from zarpair.cyclotomic import CycloNum
 from zarpair.gluing import glue_combinatorics
 from zarpair.invariant import (
@@ -85,6 +89,46 @@ class TestRegister:
         assert again.get("M+").value == ledger.get("M+").value
         assert again.get("M+").provenance == "published"
 
+    @pytest.mark.parametrize(
+        "lines, character",
+        [
+            ((3, 1, 2), maclane_character()),
+            ((4, 5, 7), Character.trivial(extended_maclane_explicit(), 3)),
+        ],
+    )
+    def test_round_trip_keeps_traversal_order(self, lines, character):
+        entry = LedgerEntry(
+            "t",
+            character,
+            triangle_cycle(character.base, *lines),
+            CycloNum.one(3),
+            "published",
+            "synthetic",
+        )
+        assert entry.check() == []
+        obj = entry.to_obj()
+        assert obj["cycle"] == list(lines)
+        again = LedgerEntry.from_obj(obj)
+        assert again.cycle.lines == lines
+        assert again.to_obj() == obj
+
+    def test_triangle_from_another_structure_reported(self):
+        # the triangle (1, 2, 3) of M with lines 3 and 4 swapped shares its
+        # lines with M's but not its vertices
+        comb = extended_maclane_explicit()
+        swapped = apply_line_permutation(comb, (1, 2, 4, 3, 5, 6, 7, 8, 9))
+        entry = LedgerEntry(
+            "foreign",
+            maclane_character(),
+            triangle_cycle(swapped, 1, 2, 3),
+            Z3,
+            "published",
+            "synthetic",
+        )
+        assert entry.check() == ["cycle does not live on the combinatorics"]
+        with pytest.raises(ValueError, match="does not live"):
+            Ledger().register(entry)
+
 
 class TestMultiplicativity:
     def test_self_gluing(self, ledger):
@@ -135,6 +179,7 @@ class TestMultiplicativity:
     def test_explicit_gluing_cross_check(self, ledger):
         from zarpair.catalog import extended_maclane_realization
         from zarpair.gluing import GluingSpec, find_generic_gluing
+        from zarpair.realization import ProjMap
 
         plus = extended_maclane_realization("+")
         spec = find_generic_gluing(plus, plus)
@@ -142,8 +187,12 @@ class TestMultiplicativity:
             ledger.get("M+"), ledger.get("M+"), new_id="R+", gluing=spec
         )
         assert entry.value == Z3
-        # a non-generic map is rejected
-        bogus = GluingSpec(plus, plus, spec.map, shared_count=4)
+        # a non-generic map is rejected: the identity glues every line
+        # of M+ onto itself
+        identity = ProjMap(
+            [[CycloNum.from_rational(3, int(r == c)) for c in range(3)] for r in range(3)]
+        )
+        bogus = GluingSpec(plus, plus, identity)
         with pytest.raises(ValueError, match="generic"):
             invariant_of_glued(
                 ledger.get("M+"), ledger.get("M+"), gluing=bogus
