@@ -18,7 +18,8 @@ import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -87,6 +88,72 @@ def _powers(n: int) -> tuple[tuple[int, ...], ...]:
 def _roots(n: int) -> dict[tuple[int, ...], int]:
     """The numerators of zeta_n^k (over denominator 1), mapped to k."""
     return {row: k for k, row in enumerate(_powers(n))}
+
+
+# Residue maps send Q(zeta_n) to F_p for incidence decisions that take no
+# inverse (see realization._point_groups). Their primes lie above this floor,
+# so that a prime dividing a denominator or a norm is rare; tests lower it to
+# force such primes and key collisions.
+_PRIME_FLOOR = 1 << 20
+
+
+def _is_prime(m: int) -> bool:
+    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
+
+
+class _ResidueMap:
+    """The ring map zeta_n -> r from Q(zeta_n) to F_p, p = 1 (mod n) prime and r
+    a primitive n-th root of unity mod p, defined on the elements whose
+    denominator p does not divide.
+
+    p does not divide n, so r is a root of Phi_n mod p: the map respects the
+    reduction mod Phi_n, and sums and products go to sums and products. A
+    polynomial identity between exact values, such as a vanishing
+    determinant, therefore holds between their images, and a nonzero image
+    proves the exact value nonzero.
+    """
+
+    __slots__ = ("p", "_powers")
+
+    def __init__(self, n: int, p: int):
+        factors = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+        r = next(
+            r for r in (pow(a, (p - 1) // n, p) for a in range(2, p))
+            if all(pow(r, n // q, p) != 1 for q in factors)
+        )
+        self.p = p
+        self._powers = tuple(pow(r, k, p) for k in range(euler_phi(n)))
+
+    def __call__(self, x: "CycloNum") -> int | None:
+        """sum(num_i r^i) / den mod p, or None when p divides den."""
+        p = self.p
+        den = x._den % p
+        if not den:
+            return None
+        total = sum(map(mul, x._num, self._powers))
+        return total % p if den == 1 else total * pow(den, -1, p) % p
+
+    def vector(self, xs: Sequence["CycloNum"]) -> tuple[int, ...] | None:
+        """The images of ``xs``, or None when any of them has none."""
+        out = tuple(map(self, xs))
+        return None if None in out else out
+
+
+def _residue_map(order: int, index: int) -> _ResidueMap:
+    """The residue map of the index-th prime p = 1 (mod order) above
+    _PRIME_FLOOR, made on first use."""
+    return _nth_residue_map(order, index, _PRIME_FLOOR)
+
+
+@lru_cache(maxsize=256)
+def _nth_residue_map(order: int, index: int, floor: int) -> _ResidueMap:
+    if index:
+        p = _nth_residue_map(order, index - 1, floor).p + order
+    else:
+        p = floor + 1 + (-floor) % order
+    while not _is_prime(p):
+        p += order
+    return _ResidueMap(order, p)
 
 
 def _fold(n: int, raw: Sequence[int]) -> tuple[int, ...]:

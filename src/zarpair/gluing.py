@@ -22,6 +22,12 @@ A GluingSpec maps the right lines once, when it is made, and keeps the
 images; check_gluing, check_generic and glue_arrangements all read them.
 check_generic includes check_gluing; the search still calls both on each
 candidate, so a tracer sees which of the two turned a candidate down.
+
+check_generic takes no inverse. Each side's singular points come from
+realization's fingerprinted grouping, exact by confirmation, and stay
+unnormalized cross products of two of their lines; a point is on a line
+exactly when their dot product is zero, and the map acts on the point by
+its rows, so no point is normalized.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from math import lcm
 from .characters import Character
 from .combinatorics import Combinatorics, NoTriangleError, triangle_cycle
 from .cyclotomic import CycloNum, dot
-from .realization import Arrangement, ProjLine, ProjMap, _cross
+from .realization import Arrangement, ProjLine, ProjMap, _cross, _point_groups
 
 __all__ = [
     "GluingSpec",
@@ -161,17 +167,29 @@ def check_generic(spec: GluingSpec) -> bool:
     """
     if not check_gluing(spec):
         return False
-    # ``through`` is sorted, so its second line is one of 1-3 at a vertex
-    left_tail, image_tail = spec.left.lines[3:], spec._images[3:]
-    for p, through in spec.right.singular_points().items():
-        if through[1] > 3:
-            q = spec.map.apply_point(p)
-            if any(q.lies_on(line) for line in left_tail):
-                return False
-    for p, through in spec.left.singular_points().items():
-        if through[1] > 3 and any(p.lies_on(img) for img in image_tail):
-            return False
-    return True
+    left_tail = [line.coeffs for line in spec.left.lines[3:]]
+    image_tail = [line.coeffs for line in spec._images[3:]]
+    return not (
+        _point_on_tail(spec.right, left_tail, spec.map.rows)
+        or _point_on_tail(spec.left, image_tail)
+    )
+
+
+def _point_on_tail(arr: Arrangement, tail, rows=None) -> bool:
+    """Whether a singular point of ``arr`` other than a triangle vertex,
+    mapped by the matrix ``rows`` when given, lies on a line of ``tail``.
+    Each point is the unnormalized cross product of two of its lines."""
+    lines = [line.coeffs for line in arr.lines]
+    # each group is sorted, so its second line is one of 1-3 at a vertex
+    for a, b, *_ in _point_groups(arr):
+        if b <= 3:
+            continue
+        point = _cross(lines[a - 1], lines[b - 1])
+        if rows is not None:
+            point = tuple(dot(row, point) for row in rows)
+        if any(dot(point, line).is_zero() for line in tail):
+            return True
+    return False
 
 
 def find_generic_gluing(

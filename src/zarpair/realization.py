@@ -2,20 +2,30 @@
 
 Lines are coefficient triples (a, b, c) of ax + by + cz = 0 and points are
 homogeneous coordinate triples, both normalized so the first nonzero entry
-is 1. Normalization makes equality structural, so intersection points can
-be grouped into singular points with a plain dictionary: no epsilon
-anywhere. Every incidence, cross product, adjugate entry and matrix product
-is a cyclotomic ``dot`` or ``det2``: one exact accumulation per entry.
+is 1; that canonical form is what equality compares and what files and
+reports write out. Every incidence, cross product, adjugate entry and
+matrix product is a cyclotomic ``dot`` or ``det2``: one exact accumulation
+per entry.
+
+Incidence decisions take no inverse. Which pairs of lines share an
+intersection point is decided by a fingerprint in F_p and confirmed
+exactly (``_point_groups``): the lines are reduced by a ring map
+Q(zeta_n) -> F_p, each pair's cross product is normalized there to give a
+key, and every group of three or more lines with one key is confirmed by
+exact dot products. A bad prime, a zero image or a failed confirmation
+moves to the next prime, so no answer rests on a fingerprint. A point
+is normalized only when one is asked for (``intersect``,
+``singular_points``, ``ProjMap.apply_point``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterable, Sequence
 
 from .combinatorics import Combinatorics
-from .cyclotomic import CycloNum, check_order, det2, dot, parse_cyclo
+from .cyclotomic import CycloNum, _residue_map, check_order, det2, dot, parse_cyclo
 
 __all__ = [
     "ProjPoint",
@@ -50,6 +60,14 @@ def _cross(u: Sequence[CycloNum], v: Sequence[CycloNum]) -> tuple:
         det2(u[1], u[2], v[1], v[2]),
         det2(u[2], u[0], v[2], v[0]),
         det2(u[0], u[1], v[0], v[1]),
+    )
+
+
+def _cross_mod(u: Sequence[int], v: Sequence[int], p: int) -> tuple[int, int, int]:
+    return (
+        (u[1] * v[2] - u[2] * v[1]) % p,
+        (u[2] * v[0] - u[0] * v[2]) % p,
+        (u[0] * v[1] - u[1] * v[0]) % p,
     )
 
 
@@ -161,12 +179,15 @@ class Arrangement:
         return self.lines[i - 1]
 
     def singular_points(self) -> dict[ProjPoint, tuple[int, ...]]:
-        """All pairwise intersections, grouped: point -> sorted line indices."""
-        groups: dict[ProjPoint, set[int]] = {}
-        for (i, l1), (j, l2) in combinations(enumerate(self.lines, start=1), 2):
-            p = intersect(l1, l2)
-            groups.setdefault(p, set()).update((i, j))
-        return {p: tuple(sorted(s)) for p, s in groups.items()}
+        """All pairwise intersections, grouped: point -> sorted line indices.
+
+        One cross product and one normalization per point: any two of its
+        lines meet there (see ``_point_groups``)."""
+        coeffs = [l.coeffs for l in self.lines]
+        return {
+            ProjPoint(_cross(coeffs[g[0] - 1], coeffs[g[1] - 1])): g
+            for g in _point_groups(self)
+        }
 
     def to_obj(self) -> dict:
         return {
@@ -208,6 +229,65 @@ class Arrangement:
         return f"Arrangement(order={self.order}, {self.n_lines} lines)"
 
 
+def _point_groups(arr: Arrangement) -> list[tuple[int, ...]]:
+    """The lines through each intersection point, as sorted 1-based index
+    tuples, in the order in which the pairs in ``combinations`` order first
+    reach each point.
+
+    At each prime of ``_residue_map`` in turn, the lines are reduced to
+    F_p, and each pair's cross product is normalized there by its first
+    nonzero entry; that is the pair's key. Pairs are grouped by key, and
+    the first pair of a group is its anchor. Every group of three or more
+    lines is confirmed exactly: each of its other lines k must satisfy
+    dot(cross(anchor), l_k) = 0. A missing residue (p divides a
+    denominator), a cross product with a zero image or a failed
+    confirmation moves on to the next prime.
+
+    Why the groups are exact: the residue map is a ring homomorphism, so
+    the image of a cross product is the cross product of the images. Two
+    pairs meet in one exact point exactly when their cross products u and v
+    are proportional, that is when u x v = 0; then the images satisfy it
+    too, and as neither image is zero they are proportional and get equal
+    keys. So each exact point lies inside one group, and a group of exactly
+    two lines is a single pair, hence one exact point. A confirmed group of
+    three or more lines has every line through the anchor point, so its
+    pairs are all the pairs of its lines and they share that one point.
+    Only finitely many primes divide a denominator, a nonzero cross product
+    entry or a nonzero minor separating two distinct points, so some prime
+    succeeds.
+    """
+    lines = [l.coeffs for l in arr.lines]
+    for index in count():
+        res = _residue_map(arr.order, index)
+        images = [res.vector(u) for u in lines]
+        groups = None if None in images else _groups_by_key(images, res.p)
+        if groups is not None and all(_confirmed(lines, g) for g in groups if len(g) > 2):
+            return [tuple(sorted(k + 1 for k in g)) for g in groups]
+
+
+def _groups_by_key(images: Sequence[Sequence[int]], p: int) -> list[list[int]] | None:
+    """Line indices grouped by the F_p key of each pair's cross product, each
+    group anchor pair first; None when some cross product's image is zero."""
+    # key -> the group's lines in insertion order
+    groups: dict[tuple[int, int, int], dict[int, None]] = {}
+    for (i, u), (j, v) in combinations(enumerate(images), 2):
+        x = _cross_mod(u, v, p)
+        lead = x[0] or x[1] or x[2]
+        if not lead:
+            return None
+        inv = pow(lead, -1, p)
+        group = groups.setdefault((x[0] * inv % p, x[1] * inv % p, x[2] * inv % p), {})
+        group[i] = group[j] = None
+    return [list(g) for g in groups.values()]
+
+
+def _confirmed(lines: Sequence[Triple], group: list[int]) -> bool:
+    """Whether every line of ``group`` passes through the exact intersection
+    of its first two (the anchor)."""
+    point = _cross(lines[group[0]], lines[group[1]])
+    return all(dot(point, lines[k]).is_zero() for k in group[2:])
+
+
 def intersect(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     """The unique common point of two distinct lines (cross product)."""
     if l1.same_line(l2):
@@ -216,13 +296,9 @@ def intersect(l1: ProjLine, l2: ProjLine) -> ProjPoint:
 
 
 def derive_combinatorics(arr: Arrangement) -> Combinatorics:
-    """The incidence structure realized by an arrangement.
-
-    Sweeps all pairwise intersections and groups the pairs sharing a point;
-    exact canonical point equality makes the grouping unambiguous.
-    """
-    groups = arr.singular_points()
-    return Combinatorics([l.name for l in arr.lines], list(groups.values()))
+    """The incidence structure realized by an arrangement: the lines through
+    each intersection point, from ``_point_groups``, with no point built."""
+    return Combinatorics([l.name for l in arr.lines], _point_groups(arr))
 
 
 def conjugate_arrangement(arr: Arrangement) -> Arrangement:

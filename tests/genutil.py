@@ -8,6 +8,8 @@ well as even.
 Random triangular inner-cyclic pairs are built by construction: two fans of
 k lines through two points of line 1 with exponents e and -e, matched up
 across lines 2 and 3 by two disjoint pairings.
+The exact pair-by-pair point grouping lives here as the oracle for the
+library's fingerprinted one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from zarpair.characters import Character
 from zarpair.combinatorics import Combinatorics
 from zarpair.cyclotomic import CycloNum
-from zarpair.realization import Arrangement, ProjLine, ProjMap
+from zarpair.realization import Arrangement, ProjLine, ProjMap, ProjPoint, intersect
 
 
 def grow_points(
@@ -173,6 +175,72 @@ def random_arrangement(rng: random.Random, order: int = 3, max_lines: int = 6) -
             continue
         lines.append(candidate)
     return Arrangement(order, lines)
+
+
+def exact_point_groups(arr: Arrangement) -> dict[ProjPoint, tuple[int, ...]]:
+    """All pairwise intersections, grouped: point -> sorted line indices.
+
+    Every pair's intersection is normalized to its canonical point, with one
+    inverse per pair, and equal points are grouped in a dictionary: the
+    exact grouping that ``Arrangement.singular_points`` replaced.
+    """
+    groups: dict[ProjPoint, set[int]] = {}
+    for (i, l1), (j, l2) in combinations(enumerate(arr.lines, start=1), 2):
+        p = intersect(l1, l2)
+        groups.setdefault(p, set()).update((i, j))
+    return {p: tuple(sorted(s)) for p, s in groups.items()}
+
+
+@st.composite
+def coincident_arrangements(draw, orders=(1, 3, 4, 12), max_lines=7) -> Arrangement:
+    """Arrangements rich in coincidences, for grouping and genericity oracles.
+
+    Coefficients are often zero, so pairs meet on a coordinate axis or at a
+    coordinate vertex and a point's first nonzero coordinate is not always
+    the first. Up to three lines a*l_i + b*l_j are appended, each through the
+    point of two earlier lines, so triple points and larger ones occur.
+    Lines that are zero or coincide with an earlier one are dropped.
+    """
+    order = draw(st.sampled_from(orders))
+    zero = CycloNum.zero(order)
+
+    def entry(a: int, b: int, k: int) -> CycloNum:
+        return CycloNum.from_rational(order, a) + CycloNum.zeta(order, k) * b
+
+    general = st.builds(
+        entry, st.integers(-2, 2), st.integers(-1, 1), st.integers(0, order - 1)
+    )
+    coefficient = st.one_of(st.just(zero), general, general)  # zero a third of the time
+    rows = draw(st.lists(st.tuples(coefficient, coefficient, coefficient),
+                         min_size=3, max_size=max_lines))
+    index = st.integers(0, max_lines + 3)
+    for i, j, a, b in draw(st.lists(
+        st.tuples(index, index, st.sampled_from([1, -1, 2]), st.sampled_from([1, -1, 3])),
+        max_size=3,
+    )):
+        u, v = rows[i % len(rows)], rows[j % len(rows)]
+        rows.append(tuple(a * x + b * y for x, y in zip(u, v)))
+    lines: list[ProjLine] = []
+    for row in rows:
+        if any(row):
+            line = ProjLine(f"L{len(lines) + 1}", row)
+            if not any(line.same_line(seen) for seen in lines):
+                lines.append(line)
+    return Arrangement(order, lines)
+
+
+def count_inverses(monkeypatch) -> list[int]:
+    """Wrap ``CycloNum.inverse`` for the test; the list's one entry counts
+    the calls."""
+    calls = [0]
+    inverse = CycloNum.inverse
+
+    def counted(self):
+        calls[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(CycloNum, "inverse", counted)
+    return calls
 
 
 def random_invertible_map(

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
@@ -158,6 +159,33 @@ class TestDerive:
         assert code == 0
         derived = Combinatorics.from_obj(json.loads(out.read_text()))
         assert derived.n_lines == 9
+
+    def test_order_839_within_ten_seconds(self, capsys, tmp_path):
+        """Nine lines at order 839 (phi = 838) with one concurrent triple,
+        L3 = L1 + L2, and leading coefficients other than 1. Each pairwise
+        intersection used to be normalized with an inverse, which took over
+        a minute here."""
+        rows = [
+            ["z^7", "z^300 + 2", "-z^512 + 3"],
+            ["z^7", "-2*z^41 + 1", "z^777 - 1"],
+            ["2*z^7", "z^300 - 2*z^41 + 3", "z^777 - z^512 + 2"],
+            ["-3", "z^95 - 2", "2*z^631 + 1"],
+            ["z^402", "3*z^18 + 1", "-z^250 - 2"],
+            ["2*z^833", "z^129 + 4", "z^66 - 3"],
+            ["5", "-z^710 + 1", "z^3 + 2"],
+            ["-z^555", "2*z^200 - 1", "z^481 + 1"],
+            ["3*z^61", "z^604 + 3", "-2*z^12 + 1"],
+        ]
+        path = write(tmp_path, "arr.json", {**arrangement(rows), "cyclotomic_order": 839})
+        out = tmp_path / "comb.json"
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, "derive", path, "-o", str(out))
+        assert time.perf_counter() - start < 10
+        assert code == 0, err
+        derived = Combinatorics.from_obj(json.loads(out.read_text()))
+        assert derived.validate().ok
+        doubles = [(i, j) for i in range(1, 10) for j in range(i + 1, 10) if j > 3]
+        assert derived.points == tuple(sorted([(1, 2, 3)] + doubles))
 
     @pytest.mark.parametrize(
         "obj",

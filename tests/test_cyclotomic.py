@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from zarpair.cyclotomic import (
     CycloNum,
+    _residue_map,
     cyclotomic_polynomial,
     det2,
     dot,
@@ -410,3 +411,42 @@ def test_dot_needs_non_empty_sequences_of_one_length():
         dot([], [])
     with pytest.raises(ValueError):
         dot([z, z], [z])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_operands(2), st.integers(0, 2))
+def test_residue_map_is_a_ring_homomorphism(operands, index):
+    """zeta -> r sends sums, products and inverses to their images in F_p,
+    at the first primes p = 1 (mod n) above 2^20."""
+    x, y = operands
+    n = x.order
+    res = _residue_map(n, index)
+    p = res.p
+    assert p > 1 << 20 and (p - 1) % n == 0 and sympy.isprime(p)
+    if index:
+        assert p > _residue_map(n, index - 1).p
+    rx, ry = res(x), res(y)
+    if rx is None or ry is None:
+        return  # p divides a denominator: no image
+    assert res(x + y) == (rx + ry) % p
+    assert res(x * y) == rx * ry % p
+    assert res(dot([x, y], [y, x])) == 2 * rx * ry % p
+    assert res(CycloNum.zeta(n)) ** n % p == 1
+    if not x.is_zero() and rx:
+        assert res(x.inverse()) * rx % p == 1
+
+
+def test_residue_map_has_no_image_for_denominators_divisible_by_p():
+    p = _residue_map(3, 0).p
+    assert _residue_map(3, 0)(CycloNum(3, [1, Fraction(1, p)])) is None
+    assert _residue_map(3, 1)(CycloNum(3, [1, Fraction(1, p)])) is not None
+    assert _residue_map(3, 0).vector([CycloNum.one(3), CycloNum(3, [Fraction(2, p)])]) is None
+
+
+def test_residue_root_is_primitive():
+    """r is a primitive n-th root of unity mod p, so zeta_n^k for
+    0 <= k < n map to n distinct residues."""
+    for n in (1, 2, 3, 4, 12, 60, 839, 840):
+        res = _residue_map(n, 0)
+        images = {res(CycloNum.zeta(n, k)) for k in range(n)}
+        assert len(images) == n

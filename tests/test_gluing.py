@@ -1,6 +1,7 @@
 """Triangle gluings: conditions, search, glued objects, and their laws."""
 
 import random
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -8,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from genutil import (
     block_swap,
+    coincident_arrangements,
+    count_inverses,
+    exact_point_groups,
     random_arrangement,
     random_inner_cyclic,
     random_invertible_map,
     random_triangle_safe_combinatorics,
 )
-from zarpair import gluing, realization
+from zarpair import cyclotomic, gluing, realization
 from zarpair.catalog import (
     extended_maclane_explicit,
     extended_maclane_realization,
@@ -30,7 +34,7 @@ from zarpair.combinatorics import (
     ordered_equal,
     triangle_cycle,
 )
-from zarpair.cyclotomic import CycloNum
+from zarpair.cyclotomic import CycloNum, _residue_map
 from zarpair.gluing import (
     GluingSearchExhausted,
     GluingSpec,
@@ -417,7 +421,8 @@ def reference_triangle_normalization(arr: Arrangement) -> ProjMap:
 
 def reference_check_generic(spec: GluingSpec) -> bool:
     """The earlier check_generic, kept verbatim as a reference: it maps the
-    triangle vertices and tests coincidences point by point."""
+    triangle vertices and tests coincidences point by point, on the points
+    of the exact pair-by-pair grouping."""
     left, right, phi = spec.left, spec.right, spec.map
     lv12, lv23, lv13 = reference_triangle_vertices(left)
     rv12, rv23, rv13 = reference_triangle_vertices(right)
@@ -435,8 +440,8 @@ def reference_check_generic(spec: GluingSpec) -> bool:
 
     vertices_left = {lv12, lv23, lv13}
     vertices_right = {rv12, rv23, rv13}
-    sing_left = spec.left.singular_points()
-    sing_right = spec.right.singular_points()
+    sing_left = exact_point_groups(spec.left)
+    sing_right = exact_point_groups(spec.right)
 
     # A right singular point on a right triangle line necessarily lands on
     # the matching left triangle line; anything beyond that is a collision.
@@ -511,6 +516,84 @@ class TestGenericParity:
         assert sum(i < catalog_count for i in non_generic) >= 5
         assert sum(i >= catalog_count for i in non_generic) >= 5
         assert NoTriangleError in answers
+
+
+def scaled_map(spec, factor):
+    """The spec with its matrix scaled by ``factor``: the same projective map
+    and the same images."""
+    rows = [[x * factor for x in row] for row in spec.map.rows]
+    return GluingSpec(spec.left, spec.right, ProjMap(rows), spec.parameter)
+
+
+def coincident_pair_specs(left, right):
+    """The identity spec and the first four search candidates on two
+    arrangements, when their triangles allow them."""
+    specs = [GluingSpec(left, right, identity_map(left.order))]
+    try:
+        specs += candidate_specs(left, right, 4)
+    except NoTriangleError:
+        pass
+    return specs
+
+
+class TestGenericParityOfTheGrouping:
+    """check_generic on fingerprinted point groups decides nothing on a
+    fingerprint: bad primes, tiny primes, unnormalized maps and
+    coincidence-rich arrangements leave every answer equal to the
+    reference's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(coincident_arrangements(orders=(3,)), coincident_arrangements(orders=(3,)))
+    def test_coincident_arrangements(self, left, right):
+        for spec in coincident_pair_specs(left, right):
+            assert decide(check_generic, spec) == decide(reference_check_generic, spec)
+
+    def test_scaled_map(self, m_plus, m_minus, r15):
+        """Right points are mapped by the rows of the matrix, unnormalized:
+        scaling the matrix changes no answer."""
+        answers = []
+        for left, right in catalog_pairs(m_plus, m_minus, r15)[1:]:
+            for spec in candidate_specs(left, right, 4):
+                bad = scaled_map(spec, CycloNum.zeta(3) * Fraction(-2, 7))
+                assert [l.coeffs for l in bad._images] == [l.coeffs for l in spec._images]
+                answers.append(check_generic(bad))
+                assert answers[-1] == check_generic(spec) == reference_check_generic(spec)
+        assert True in answers and False in answers
+
+    def test_tail_line_with_a_bad_prime(self, m_plus):
+        """A left tail line whose coefficient has the first prime as its
+        denominator: the left points are grouped at the next prime."""
+        p = _residue_map(3, 0).p
+        third = CycloNum.from_rational(3, Fraction(1, p))
+        lines = list(m_plus.lines)
+        a, b, c = lines[8].coeffs
+        lines[8] = ProjLine(lines[8].name, (a, b + third, c))
+        left = Arrangement(3, lines)
+        assert _residue_map(3, 0).vector(left.line(9).coeffs) is None
+        specs = candidate_specs(left, m_plus, 6) + candidate_specs(m_plus, left, 6)
+        for spec in specs:
+            assert decide(check_generic, spec) == decide(reference_check_generic, spec)
+
+    def test_tiny_primes(self, m_plus, m_minus, r15, monkeypatch):
+        """Points grouped at primes above 6, where keys collide often."""
+        specs = [
+            spec
+            for left, right in catalog_pairs(m_plus, m_minus, r15)
+            for spec in candidate_specs(left, right, 6)
+        ]
+        specs += [spec for seed in range(40) for spec in random_pair_specs(seed)]
+        expected = [decide(reference_check_generic, spec) for spec in specs]
+        monkeypatch.setattr(cyclotomic, "_PRIME_FLOOR", 6)
+        assert _residue_map(3, 0).p == 7
+        assert [decide(check_generic, spec) for spec in specs] == expected
+        assert True in expected and False in expected
+
+    def test_no_inverse(self, spec_pm, monkeypatch):
+        """check_generic on the found (M+, M-) gluing takes no inverse: the
+        points stay unnormalized cross products."""
+        calls = count_inverses(monkeypatch)
+        assert check_generic(spec_pm)
+        assert calls[0] == 0
 
 
 def lifted(arr, order):

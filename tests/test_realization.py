@@ -1,17 +1,27 @@
 """Exact projective geometry: intersections, derived combinatorics, maps."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
-from genutil import random_arrangement, random_invertible_map
+from genutil import (
+    coincident_arrangements,
+    count_inverses,
+    exact_point_groups,
+    random_arrangement,
+    random_invertible_map,
+)
+from zarpair import cyclotomic, realization
 from zarpair.catalog import (
     extended_maclane_explicit,
     extended_maclane_realization,
 )
 from zarpair.combinatorics import ordered_equal
-from zarpair.cyclotomic import CycloNum
+from zarpair.cyclotomic import CycloNum, _residue_map
+from zarpair.gluing import find_generic_gluing, glue_arrangements
 from zarpair.realization import (
     Arrangement,
     ProjLine,
@@ -102,6 +112,111 @@ class TestDeriveCombinatorics:
                 for i, j in combinations(point, 2)
             }
             assert len(spots) == 1
+
+
+def rational_arrangement(rows):
+    """An order-3 arrangement with the given rational coefficient rows."""
+    return Arrangement(3, [
+        ProjLine(f"L{i}", tuple(CycloNum.from_rational(3, c) for c in row))
+        for i, row in enumerate(rows, 1)
+    ])
+
+
+def assert_grouped_exactly(arr):
+    """singular_points and derive_combinatorics agree with the exact
+    pair-by-pair grouping, points and their order included."""
+    exact = exact_point_groups(arr)
+    assert list(arr.singular_points().items()) == list(exact.items())
+    assert derive_combinatorics(arr).points == tuple(sorted(exact.values()))
+
+
+@pytest.fixture(scope="module")
+def r15():
+    m_plus = extended_maclane_realization("+")
+    return glue_arrangements(find_generic_gluing(m_plus, m_plus))
+
+
+@pytest.fixture
+def tiny_primes(monkeypatch):
+    """Residue maps from primes above 6 (7, 13, 19, ... at order 3), where
+    keys collide and images vanish often; records each exact confirmation."""
+    monkeypatch.setattr(cyclotomic, "_PRIME_FLOOR", 6)
+    verdicts = []
+    confirm = realization._confirmed
+
+    def recorded(lines, group):
+        verdicts.append(confirm(lines, group))
+        return verdicts[-1]
+
+    monkeypatch.setattr(realization, "_confirmed", recorded)
+    return verdicts
+
+
+class TestPointGroupingParity:
+    """The fingerprinted grouping equals the exact one (genutil's oracle)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(coincident_arrangements())
+    def test_coincident_arrangements(self, arr):
+        assert_grouped_exactly(arr)
+
+    def test_catalog_and_glued(self, m_plus, r15):
+        for arr in (m_plus, extended_maclane_realization("-"), r15, lifted(m_plus, 12)):
+            assert_grouped_exactly(arr)
+
+    def test_bad_prime_moves_to_the_next(self):
+        """A coefficient with the first prime as its denominator has no
+        residue there; the grouping moves on and stays exact."""
+        p = _residue_map(3, 0).p
+        arr = rational_arrangement(
+            [(1, Fraction(1, p), 2), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 1)]
+        )
+        assert _residue_map(3, 0).vector(arr.line(1).coeffs) is None
+        assert _residue_map(3, 1).vector(arr.line(1).coeffs) is not None
+        assert_grouped_exactly(arr)
+        # lines 2, 3 and 4 meet in [0 : 0 : 1], whose pivot is last
+        assert (2, 3, 4) in derive_combinatorics(arr).points
+
+    def test_zero_image_moves_to_the_next(self):
+        """x = 0 and x + p*y = 0 have one image mod the first prime p, so
+        their cross product's image is zero there."""
+        p = _residue_map(3, 0).p
+        for rows in ([(1, 0, 0), (1, p, 0)], [(1, 0, 0), (1, p, 0), (0, 0, 1)]):
+            arr = rational_arrangement(rows)
+            assert_grouped_exactly(arr)
+            assert (1, 2) in derive_combinatorics(arr).points
+
+    def test_collisions_are_rejected_by_confirmation(self, tiny_primes, m_plus, r15):
+        assert _residue_map(3, 0).p == 7
+        rng = random.Random(5)
+        arrangements = [m_plus, extended_maclane_realization("-"), r15]
+        arrangements += [random_arrangement(rng, max_lines=8) for _ in range(30)]
+        for arr in arrangements:
+            assert_grouped_exactly(arr)
+        assert False in tiny_primes  # some collision reached confirmation
+        assert True in tiny_primes
+
+    @settings(max_examples=60, deadline=None)
+    @given(coincident_arrangements(orders=(3, 4)))
+    def test_coincident_arrangements_at_tiny_primes(self, arr):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cyclotomic, "_PRIME_FLOOR", 6)
+            assert_grouped_exactly(arr)
+
+
+class TestNoInverseInIncidence:
+    """Incidence decisions take no inverse; only building a canonical point
+    for output does, once per point."""
+
+    def test_derive_takes_no_inverse(self, r15, monkeypatch):
+        calls = count_inverses(monkeypatch)
+        assert len(derive_combinatorics(r15).points) == 61
+        assert calls[0] == 0
+
+    def test_singular_points_normalizes_once_per_point(self, r15, monkeypatch):
+        calls = count_inverses(monkeypatch)
+        assert len(r15.singular_points()) == 61
+        assert calls[0] <= 61
 
 
 class TestConjugate:
@@ -237,6 +352,23 @@ class TestRigidify:
         derived = derive_combinatorics(bigger)
         assert derived.validate().ok
         assert derived.point_through(1, 5) == derived.point_through(2, 5)
+
+    def test_hits_are_exact_at_tiny_primes(self, m_plus, r15, monkeypatch):
+        """With the points grouped at primes near 7, where keys collide,
+        each report still lists exactly the points on the new line."""
+        monkeypatch.setattr(cyclotomic, "_PRIME_FLOOR", 6)
+        for arr in (m_plus, r15):
+            sing = {idxs: p for p, idxs in arr.singular_points().items()}
+            # points on a common line span that line, which rigidify refuses
+            pairs = [
+                (a, b) for a, b in combinations(sorted(sing), 2) if not set(a) & set(b)
+            ]
+            for a, b in pairs[:20]:
+                _, report = rigidify(arr, sing[a], sing[b])
+                assert report.hit_singular_points == tuple(
+                    idxs for idxs, p in sorted(sing.items())
+                    if p.lies_on(report.new_line)
+                )
 
     def test_equal_points_rejected(self, m_plus):
         p = next(iter(m_plus.singular_points()))
