@@ -1,15 +1,31 @@
-"""Automorphism groups of combinatorics, by exhaustive backtracking.
+"""Automorphism groups of combinatorics, from a stabilizer chain.
 
-The search kernel (``zarpair._kernel``) prunes by per-line point-size
-signatures and pairwise point sizes, so the full groups of the catalog
-structures enumerate in well under the budgeted time. It visits lines
-by fewest candidate images, then by the most weight of multiple points
-(size >= 3) each placement completes, so a wrong partial map fails as
-soon as a point closes; double points do not count there, since the
-pair-size check already enforces them. Group-theoretic
-claims are verified on the enumerated elements, not assumed: closure,
-inverses, and the 2x2 matrix model over F_3 for the 9-line extended
-MacLane structure.
+The search kernel (``zarpair._kernel.automorphism_generators``) returns a
+base b_1..b_L and strong generators instead of every element. It picks
+the base along its visit order, each line whose point-size signature and
+pair sizes to the base so far do not single it out, and searches the
+levels deepest first: at level k a find-first search looks for a map
+that fixes b_1..b_{k-1} and carries b_k to a candidate j, skipping every
+j already in b_k's orbit under the generators found so far or in the
+orbit of a j that failed. Each map found is a generator, and only base
+lines whose level found one are returned.
+
+This module proves the group instead of trusting the kernel. Every
+generator is re-checked point by point against the point set as
+bitmasks. One transversal per level comes from a breadth-first walk of
+b_k's orbit under the generators that fix b_1..b_{k-1}, and every
+Schreier generator t_{s(x)}^-1 s t_x is sifted down the chain to the
+identity. By Schreier's lemma the products u_1 ... u_L, one transversal
+element per level, are then exactly the group the generators generate,
+each once; that proves closure and inverses of the expanded elements
+without composing pairs of them. That the generators reach every
+automorphism still rests on the kernel's search. The elements are the
+sorted expansion of those products. Group statistics read the center off
+the generators: an element is central when it commutes with each of
+them. A copy-preserving subgroup filters the elements and derives its
+own generators greedily, only when asked for them. The 2x2 matrix model
+over F_3 for the 9-line extended MacLane structure is checked on the
+elements.
 """
 
 from __future__ import annotations
@@ -88,12 +104,81 @@ def cycle_notation(p: Perm) -> str:
     return "".join(cycles) or "id"
 
 
+def _check_maps_points(n: int, points, perms) -> None:
+    """Raise unless each permutation of 0..n-1 carries every point (a
+    tuple of 0-based lines) onto a point."""
+    masks = {sum(1 << a for a in p) for p in points}
+    for s in perms:
+        if sorted(s) != list(range(n)):
+            raise AssertionError(f"generator {s} is not a permutation of the lines")
+        for p in points:
+            if sum(1 << s[a] for a in p) not in masks:
+                raise AssertionError(f"generator {s} moves the point {p} off the points")
+
+
+def _inverse(t: Perm) -> Perm:
+    """Inverse of a 0-based permutation."""
+    inv = [0] * len(t)
+    for i, j in enumerate(t):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _stabilizer_chain(n: int, base, generators) -> list[dict[int, Perm]]:
+    """One transversal per base line, proved by Schreier's lemma.
+
+    Permutations are 0-based. The transversal of b_k maps each point x of
+    b_k's orbit under the generators fixing b_1..b_{k-1} to an element
+    t_x carrying b_k to x. Every generator, and every Schreier generator
+    t_{s(x)}^-1 s t_x of every level, is sifted down the chain; each must
+    end at the identity, or AssertionError is raised.
+    """
+    identity = tuple(range(n))
+    levels = []
+    for k, b in enumerate(base):
+        gens = [s for s in generators if all(s[c] == c for c in base[:k])]
+        u = {b: identity}
+        queue = [b]
+        for x in queue:
+            for s in gens:
+                y = s[x]
+                if y not in u:
+                    u[y] = tuple(map(s.__getitem__, u[x]))
+                    queue.append(y)
+        levels.append((b, gens, u, {y: _inverse(t) for y, t in u.items()}))
+
+    def sift(g: Perm, start: int) -> None:
+        for b, _, u, u_inv in levels[start:]:
+            y = g[b]
+            if y not in u:
+                raise AssertionError(f"sift leaves the orbit of base line {b}")
+            g = tuple(map(u_inv[y].__getitem__, g))
+        if g != identity:
+            raise AssertionError(f"{g} fixes the base but is not the identity")
+
+    for s in generators:
+        sift(s, 0)
+    for k, (_, gens, u, u_inv) in enumerate(levels):
+        for x, t in u.items():
+            for s in gens:
+                st = tuple(map(s.__getitem__, t))
+                if st != u[s[x]]:
+                    sift(tuple(map(u_inv[s[x]].__getitem__, st)), k + 1)
+    return [u for _, _, u, _ in levels]
+
+
 @dataclass(frozen=True)
 class AutGroup:
-    """The full automorphism group of a combinatorics, as sorted permutations."""
+    """A group of line permutations of a combinatorics, as sorted elements.
+
+    ``generators`` generate the group: the strong generators the group was
+    proved from, or, for a group made from elements alone, a greedy pick
+    made the first time they are asked for.
+    """
 
     base: Combinatorics
     elements: tuple[Perm, ...]
+    _generators: tuple[Perm, ...] | None = field(default=None, repr=False, compare=False)
     _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -103,33 +188,75 @@ class AutGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def generators(self) -> tuple[Perm, ...]:
+        if self._generators is None:
+            n = self.base.n_lines
+            gens: list[Perm] = []
+            closure = _closure(n, gens)
+            for p in self.elements:
+                if p not in closure:
+                    gens.append(p)
+                    closure = _closure(n, gens)
+            object.__setattr__(self, "_generators", tuple(gens))
+        return self._generators
+
     def __contains__(self, p: Perm) -> bool:
         return tuple(p) in self._members
 
     def verify_group_axioms(self) -> None:
-        """Identity, closure and inverses, by direct check."""
-        members = self._members
-        n = self.base.n_lines
-        identity = tuple(range(1, n + 1))
-        if identity not in members:
-            raise AssertionError("automorphism set lacks the identity")
-        for p in self.elements:
-            if invert_perm(p) not in members:
-                raise AssertionError(f"inverse of {p} missing")
-            for q in self.elements:
-                if compose_perms(p, q) not in members:
-                    raise AssertionError(f"composition {p} o {q} missing")
+        """The elements are exactly the group the generators generate: a
+        breadth-first walk from the identity over left products with the
+        generators stays inside the elements and reaches all of them."""
+        reached = _closure(self.base.n_lines, self.generators, self._members)
+        if len(reached) != len(self._members):
+            raise AssertionError(
+                f"the generators reach {len(reached)} of {len(self._members)} elements"
+            )
+
+
+def _closure(n: int, generators, within=None) -> set[Perm]:
+    """The group generated by 1-based permutations of n lines, walked
+    breadth-first from the identity by left products with the generators;
+    with ``within``, raise AssertionError on a product outside it."""
+    identity = tuple(range(1, n + 1))
+    if within is not None and identity not in within:
+        raise AssertionError("automorphism set lacks the identity")
+    reached = {identity}
+    queue = [identity]
+    for h in queue:
+        for s in generators:
+            sh = compose_perms(s, h)
+            if sh not in reached:
+                if within is not None and sh not in within:
+                    raise AssertionError(f"composition {s} o {h} missing")
+                reached.add(sh)
+                queue.append(sh)
+    return reached
 
 
 def enumerate_automorphisms(comb: Combinatorics) -> AutGroup:
-    """All line permutations carrying points to points, verified as a group."""
+    """All line permutations carrying points to points, proved a group.
+
+    The kernel gives a base and strong generators; each generator is
+    re-checked against the points, the stabilizer chain is proved by
+    sifting its Schreier generators, and the elements are the sorted
+    products of one transversal element per level.
+    """
+    n = comb.n_lines
     points0 = [tuple(i - 1 for i in p) for p in comb.points]
-    raw = _kernel.search_line_maps(comb.n_lines, points0, points0, find_all=True)
-    # The kernel returns sorted maps, and shifting to 1-based keeps the order.
-    elements = tuple(tuple(j + 1 for j in p) for p in raw)
-    group = AutGroup(comb, elements)
-    group.verify_group_axioms()
-    return group
+    base, strong = _kernel.automorphism_generators(n, points0)
+    _check_maps_points(n, points0, strong)
+    chain = _stabilizer_chain(n, base, strong)
+    # The products u_1 ... u_L, built from the deepest level up; the
+    # outermost factor takes 1-based images, so the products are 1-based.
+    factors = [list(u.values()) for u in chain] or [[tuple(range(n))]]
+    factors[0] = [tuple(j + 1 for j in t) for t in factors[0]]
+    elements = [tuple(range(n))]
+    for ts in reversed(factors):
+        elements = [tuple(map(t.__getitem__, h)) for t in ts for h in elements]
+    elements.sort()
+    return AutGroup(comb, tuple(elements), tuple(tuple(j + 1 for j in s) for s in strong))
 
 
 @dataclass(frozen=True)
@@ -151,15 +278,18 @@ class GroupStats:
 
 
 def group_stats(group: AutGroup) -> GroupStats:
+    """Order, element-order histogram and center; the center is the set of
+    elements that commute with every generator."""
     elements = group.elements
     histogram: dict[int, int] = {}
     for p in elements:
         k = perm_order(p)
         histogram[k] = histogram.get(k, 0) + 1
+    gens = group.generators
     center = [
         p
         for p in elements
-        if all(compose_perms(p, q) == compose_perms(q, p) for q in elements)
+        if all(compose_perms(p, s) == compose_perms(s, p) for s in gens)
     ]
     return GroupStats(
         order=len(elements),

@@ -48,10 +48,12 @@ def _normalize(coords: Sequence[CycloNum]) -> Triple:
         raise ValueError(f"expected 3 homogeneous coordinates, got {len(coords)}")
     for k, c in enumerate(coords):
         if not c.is_zero():  # the pivot becomes exactly one
+            one = CycloNum.one(c.order)
+            # Already canonical; a mixed order still raises in the product.
+            if c == one and all(x.order == c.order for x in coords):
+                return tuple(coords)
             inv = c.inverse()
-            return tuple(
-                CycloNum.one(c.order) if j == k else x * inv for j, x in enumerate(coords)
-            )
+            return tuple(one if j == k else x * inv for j, x in enumerate(coords))
     raise ValueError("all coordinates are zero")
 
 

@@ -1,20 +1,27 @@
 """Automorphism groups: catalog orders, matrix model, kernel against brute
-force and against networkx VF2."""
+force and against networkx VF2, and the generator proof against the
+pairwise group check and against sympy."""
 
 import gc
+import io
 import itertools
+import json
 import math
 import random
 import time
+from contextlib import redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from networkx import Graph
 from networkx.algorithms.isomorphism import GraphMatcher
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from genutil import grow_points, random_combinatorics, two_fans
+from zarpair import _kernel, cli
 from zarpair._kernel import search_line_maps
 from zarpair.automorphisms import (
+    AutGroup,
     compose_perms,
     copy_preserving_subgroup,
     cycle_notation,
@@ -37,6 +44,7 @@ from zarpair.combinatorics import (
     apply_line_permutation,
     is_isomorphic,
 )
+from zarpair.gluing import glue_combinatorics
 
 
 @pytest.fixture(scope="module")
@@ -430,3 +438,245 @@ class TestVF2Oracle:
         comb = build()
         vf2_order = sum(1 for _ in _vf2(comb, comb).isomorphisms_iter())
         assert enumerate_automorphisms(comb).order == vf2_order == order
+
+
+# -- the group layer against the pairwise check and against sympy ------------
+
+
+def pairwise_verify_group_axioms(group):
+    """The group check the generator proof replaced: identity, inverses and
+    the composition of every ordered pair of elements."""
+    members = group._members
+    n = group.base.n_lines
+    identity = tuple(range(1, n + 1))
+    if identity not in members:
+        raise AssertionError("automorphism set lacks the identity")
+    for p in group.elements:
+        if invert_perm(p) not in members:
+            raise AssertionError(f"inverse of {p} missing")
+        for q in group.elements:
+            if compose_perms(p, q) not in members:
+                raise AssertionError(f"composition {p} o {q} missing")
+
+
+def pairwise_center(elements):
+    """The center the generator test replaced: elements commuting with all."""
+    return [
+        p
+        for p in elements
+        if all(compose_perms(p, q) == compose_perms(q, p) for q in elements)
+    ]
+
+
+def _order_by_powers(p):
+    """Order of a 0-based permutation by powering it up to the identity."""
+    identity = tuple(range(len(p)))
+    q, k = tuple(p), 1
+    while q != identity:
+        q, k = tuple(p[i] for i in q), k + 1
+    return k
+
+
+def assert_pairwise_parity(group):
+    """On a group of order at most 144: the generator proof and the pairwise
+    check agree, on the group and on the group with one element dropped,
+    and so do the two centers."""
+    assert group.order <= 144
+    pairwise_verify_group_axioms(group)
+    group.verify_group_axioms()
+    assert group_stats(group).center_order == len(pairwise_center(group.elements))
+    # Dropping an element of a group of order 3 or more leaves no group,
+    # since the order would not divide.
+    if group.order > 2:
+        for drop in (0, group.order - 1, group.order // 2):
+            kept = group.elements[:drop] + group.elements[drop + 1:]
+            broken = AutGroup(group.base, kept)
+            with pytest.raises(AssertionError):
+                pairwise_verify_group_axioms(broken)
+            with pytest.raises(AssertionError):
+                broken.verify_group_axioms()
+
+
+def assert_sympy_agrees(group):
+    """sympy's Schreier-Sims on the same generators: order, center order,
+    the element set and the element-order histogram."""
+    n = group.base.n_lines
+    gens = [Permutation([j - 1 for j in s], size=n) for s in group.generators]
+    sym = PermutationGroup(gens or [Permutation(list(range(n)), size=n)])
+    stats = group_stats(group)
+    assert sym.order() == group.order == stats.order
+    assert sym.center().order() == stats.center_order
+    elements = {tuple(a) for a in sym.generate_schreier_sims(af=True)}
+    assert elements == {tuple(j - 1 for j in p) for p in group.elements}
+    histogram = {}
+    for p in elements:
+        k = _order_by_powers(p)
+        histogram[k] = histogram.get(k, 0) + 1
+    assert histogram == stats.element_order_histogram
+
+
+def _exhaustive(comb):
+    pts = _zero_based(comb)
+    maps = search_line_maps(comb.n_lines, pts, pts, True)
+    return tuple(tuple(j + 1 for j in p) for p in maps)
+
+
+M = extended_maclane_explicit()
+R15 = rybnikov_explicit()
+R21 = glue_combinatorics(R15, M)
+R27 = glue_combinatorics(R21, M)
+
+R21_HISTOGRAM = {1: 1, 2: 271, 3: 98, 4: 432, 6: 1286, 9: 144, 12: 216, 18: 144}
+R27_HISTOGRAM = {
+    1: 1, 2: 1879, 3: 944, 4: 9288, 6: 23312, 8: 7776, 9: 1728, 12: 12096, 18: 5184,
+}
+
+
+class TestGeneratorProof:
+    @pytest.mark.parametrize(
+        "comb",
+        [maclane_combinatorics(), M, R15, glue_combinatorics(M, M), R21],
+        ids=["M8", "M", "R15", "MxM", "R21"],
+    )
+    def test_catalog_groups(self, comb):
+        group = enumerate_automorphisms(comb)
+        assert group.elements == _exhaustive(comb)
+        pts = _zero_based(comb)
+        assert all(_carries(tuple(j - 1 for j in s), pts, pts) for s in group.generators)
+        assert_sympy_agrees(group)
+        if group.order <= 144:
+            assert_pairwise_parity(group)
+
+    def test_subgroups_and_small_groups(self):
+        tri = Combinatorics(["A", "B", "C"], [[1, 2], [1, 3], [2, 3]])
+        r15 = enumerate_automorphisms(R15)
+        for group in (
+            enumerate_automorphisms(tri),
+            copy_preserving_subgroup(r15, set(range(4, 10)), set(range(10, 16))),
+            copy_preserving_subgroup(enumerate_automorphisms(tri), {1}, {2, 3}),
+            copy_preserving_subgroup(enumerate_automorphisms(tri), {1}, {2}),
+        ):
+            assert_pairwise_parity(group)
+            assert_sympy_agrees(group)
+
+    def test_greedy_generators_generate_the_subgroup(self):
+        r15 = enumerate_automorphisms(R15)
+        sub = copy_preserving_subgroup(r15, set(range(4, 10)), set(range(10, 16)))
+        assert sub.order == 72
+        assert set(sub.generators) <= set(sub.elements)
+        sub.verify_group_axioms()
+
+    # In the two examples a level meets a failing candidate before one in
+    # another orbit that succeeds, so pruning must not skip past it.
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(seed=388)
+    @example(seed=487)
+    def test_random_structures(self, seed):
+        comb = random_combinatorics(random.Random(seed), max_lines=9)
+        group = enumerate_automorphisms(comb)
+        if comb.n_lines <= 7:
+            pts = _zero_based(comb)
+            brute = _brute_force_maps(comb.n_lines, pts, pts)
+            assert group.elements == tuple(tuple(j + 1 for j in p) for p in brute)
+        # Leaves out the rare groups such as S_8 and S_9, whose exhaustive
+        # search alone would take seconds.
+        if group.order <= 5040:
+            assert group.elements == _exhaustive(comb)
+            assert_sympy_agrees(group)
+        if group.order <= 144:
+            assert_pairwise_parity(group)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_two_fans(self, k):
+        for shift in range(1, k):
+            comb = two_fans(k, shift)
+            group = enumerate_automorphisms(comb)
+            assert group.elements == _exhaustive(comb)
+            if group.order <= 144:
+                assert_pairwise_parity(group)
+
+    def test_no_lines_and_one_line(self):
+        for comb in (Combinatorics([], []), Combinatorics(["A"], [])):
+            group = enumerate_automorphisms(comb)
+            assert group.elements == (tuple(range(1, comb.n_lines + 1)),)
+            group.verify_group_axioms()
+
+
+class TestProofCatchesAFaultyKernel:
+    """The group layer re-checks what the kernel returns."""
+
+    def test_generator_moving_a_point_off_raises(self, monkeypatch):
+        real = _kernel.automorphism_generators
+        pts = _zero_based(M)
+        bad = (1, 0) + tuple(range(2, M.n_lines))  # swaps lines 1 and 2
+        assert not _carries(bad, pts, pts)
+
+        def stub(n, points):
+            base, gens = real(n, points)
+            return base, gens + [bad]
+
+        monkeypatch.setattr(_kernel, "automorphism_generators", stub)
+        with pytest.raises(AssertionError, match="moves the point"):
+            enumerate_automorphisms(M)
+
+    @pytest.mark.parametrize("comb", [maclane_combinatorics(), M, R15, R21],
+                             ids=["M8", "M", "R15", "R21"])
+    def test_chain_without_its_deepest_level_fails_the_sift(self, comb, monkeypatch):
+        real = _kernel.automorphism_generators
+        base, gens = real(comb.n_lines, _zero_based(comb))
+        # Every level of the base has a generator; those of the deepest
+        # level fix the rest of the base and must fail the sift.
+        assert any(g[base[-1]] != base[-1] for g in gens)
+        monkeypatch.setattr(
+            _kernel, "automorphism_generators", lambda n, points: (base[:-1], gens)
+        )
+        with pytest.raises(AssertionError, match="not the identity"):
+            enumerate_automorphisms(comb)
+
+    def test_non_permutation_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            _kernel, "automorphism_generators",
+            lambda n, points: ((0,), [(0,) * n]),
+        )
+        with pytest.raises(AssertionError, match="not a permutation"):
+            enumerate_automorphisms(M)
+
+
+def _aut_stats(tmp_path, comb):
+    path = tmp_path / "comb.json"
+    path.write_text(json.dumps(comb.to_obj()))
+    out = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out):
+        code = cli.run(["aut", str(path), "--stats"])
+    return code, json.loads(out.getvalue()), time.perf_counter() - start
+
+
+class TestLargeGroups:
+    """The 21- and 27-line glued structures, out of reach of a pairwise check."""
+
+    @pytest.mark.parametrize(
+        "comb, order, histogram",
+        [
+            (R21, 2592, R21_HISTOGRAM),
+            (R27, 62208, R27_HISTOGRAM),
+            (glue_combinatorics(R15, R15), 62208, R27_HISTOGRAM),
+        ],
+        ids=["R21", "R27", "R15xR15"],
+    )
+    def test_aut_stats_within_ten_seconds(self, tmp_path, comb, order, histogram):
+        code, obj, elapsed = _aut_stats(tmp_path, comb)
+        assert code == 0
+        assert elapsed < 10
+        assert obj["order"] == obj["stats"]["order"] == order
+        assert obj["stats"]["center_order"] == 2
+        assert not obj["stats"]["abelian"]
+        assert obj["stats"]["element_order_histogram"] == {
+            str(k): v for k, v in sorted(histogram.items())
+        }
+
+    def test_sympy_agrees_on_r27(self):
+        # R21 is checked with the catalog groups, against the exhaustive
+        # search as well.
+        assert_sympy_agrees(enumerate_automorphisms(R27))

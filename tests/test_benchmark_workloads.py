@@ -37,7 +37,7 @@ def test_one_operation_passes_its_oracle(name, tmp_path):
     assert workload.check(inp, workload.run(inp)) == []
 
 
-@pytest.mark.parametrize("name", ["certify", "cli-lifted"])
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
 def test_traced_operation_reaches_the_predicted_layers(name, tmp_path):
     workload = workloads.WORKLOADS[name](SEED, tmp_path)
     inp = workload.make_input(0)

@@ -721,6 +721,13 @@ class TestGlueArrangements:
         with pytest.raises(ValueError):
             glue_arrangements(spec)
 
+    def test_renaming_takes_no_inverse(self, spec_pm, monkeypatch):
+        """The glued lines are canonical already, so wrapping them under the
+        names D1..D15 normalizes nothing (15 inverses of 1 before)."""
+        calls = count_inverses(monkeypatch)
+        assert glue_arrangements(spec_pm).n_lines == 15
+        assert calls[0] == 0
+
 
 class TestGlueCombinatorics:
     def test_reproduces_rybnikov(self):

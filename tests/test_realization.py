@@ -55,6 +55,23 @@ def lifted(arr, order):
 MAP_FIELDS = [(3, True), (3, False), (12, False)]
 
 
+class TestCanonicalForm:
+    def test_canonical_coefficients_kept_without_inverse(self, m_plus, monkeypatch):
+        calls = count_inverses(monkeypatch)
+        for line in m_plus.lines:
+            assert ProjLine("copy", line.coeffs).coeffs == line.coeffs
+        assert calls[0] == 0
+
+    def test_pivot_scaled_to_one(self):
+        two = CycloNum.from_rational(3, 2)
+        line = ProjLine("L", (ZERO, two * A, two))
+        assert line.coeffs == (ZERO, ONE, ABAR)
+
+    def test_mixed_orders_rejected_with_unit_pivot(self):
+        with pytest.raises(ValueError, match="order mismatch"):
+            ProjLine("L", (ONE, CycloNum.one(4), ZERO))
+
+
 class TestIntersect:
     def test_triangle_vertex(self, m_plus):
         # L2: x - abar*y and L3: x - a*y force x = y = 0
