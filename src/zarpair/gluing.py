@@ -11,10 +11,13 @@ Every triangle fact comes from one frame per side: F, the matrix whose
 rows are the coefficients of lines 1-3. Arrangements have no coinciding
 lines, so lines 1-3 form a triangle exactly when det F is nonzero; the
 columns of adj(F) are the vertices, and a point p is off the triangle
-exactly when F p has no zero entry. The constructive search normalizes
-both triangles onto the coordinate triangle by F^-1 diag(F ref), then
-walks a fixed sequence of diagonal maps diag(1, s, t) with (s, t) ranging
-over pairs of distinct primes. Genericity fails only on finitely many
+exactly when F p has no zero entry. The search walks diagonal parameters
+(s, t), pairs of distinct primes, and builds each candidate straight from
+the two frames as phi = adj(F_L) diag(d0, s d1, t d2) F_R, with
+d = (wL0 wR1 wR2, wL1 wR0 wR2, wL2 wR0 wR1) and w = F ref for a reference
+point ref off each triangle. d is scaled once, by the search's one
+inverse, so that phi sends the canonical right vertex of lines 2 and 3
+onto the canonical left one. Genericity fails only on finitely many
 parameter choices, so the sequence finds a generic map quickly and
 reproducibly.
 
@@ -22,12 +25,9 @@ A GluingSpec maps the right lines once, when it is made, and keeps the
 images; check_gluing, check_generic and glue_arrangements all read them.
 check_generic includes check_gluing; the search still calls both on each
 candidate, so a tracer sees which of the two turned a candidate down.
-
-check_generic takes no inverse. Each side's singular points come from
-realization's fingerprinted grouping, exact by confirmation, and stay
-unnormalized cross products of two of their lines; a point is on a line
-exactly when their dot product is zero, and the map acts on the point by
-its rows, so no point is normalized.
+check_generic takes no inverse: every point is the unnormalized cross
+product of two lines, right points of two kept images, and lies on a line
+exactly when their dot product is zero.
 """
 
 from __future__ import annotations
@@ -92,35 +92,23 @@ def _frame(arr: Arrangement) -> tuple:
 
 
 def _reference_points(arr: Arrangement):
-    """Unnormalized candidates for the image of the unit point."""
+    """Unnormalized candidates for a reference point off the triangle: the
+    intersection of lines 4 and 5, then the points [1 : t : t^2]. Those lie
+    on the conic y^2 = xz, which each triangle line meets at most twice, so
+    at most six values of t are excluded and t <= 7 suffices."""
     if arr.n_lines >= 5:
         yield _cross(arr.line(4).coeffs, arr.line(5).coeffs)
     for t in range(1, 8):
         yield tuple(CycloNum.from_rational(arr.order, t**k) for k in range(3))
 
 
-def _triangle_normalization(arr: Arrangement) -> ProjMap:
-    """F^-1 diag(F ref), F the frame: it sends the coordinate triangle
-    x=0, y=0, z=0 onto lines 1-3 and the unit point (1, 1, 1) to ref.
-
-    ref is the first point off the triangle (F ref has no zero entry) among
-    the intersection of lines 4 and 5 and the points [1 : t : t^2]. Those
-    lie on the conic y^2 = xz, which each triangle line meets at most
-    twice, so at most six values of t are excluded and t <= 7 suffices.
-    adj(F) stands in for F^-1, and one inverse scales the map so that the
-    image of (1, 0, 0) is the canonical vertex, with first nonzero entry 1.
-    """
-    f = _frame(arr)
-    weights = next(
+def _weights(arr: Arrangement, f) -> list[CycloNum]:
+    """F ref for the first reference point off the triangle."""
+    return next(
         w
         for w in ([dot(row, ref) for row in f] for ref in _reference_points(arr))
         if not any(x.is_zero() for x in w)
     )
-    vertices = (_cross(f[1], f[2]), _cross(f[2], f[0]), _cross(f[0], f[1]))
-    lead = next(x for x in vertices[0] if not x.is_zero())
-    scale = (lead * weights[0]).inverse()
-    weights = [w * scale for w in weights]
-    return ProjMap([[v[r] * w for v, w in zip(vertices, weights)] for r in range(3)])
 
 
 def _prime_pairs():
@@ -158,35 +146,32 @@ def check_generic(spec: GluingSpec) -> bool:
     vertices, no singular point of either side lies on an unshared line of
     the other side.
 
-    A vertex is a singular point with two of lines 1-3 through it. Right
-    points are mapped and tested against the unshared left lines, left
-    points against the images of the unshared right lines. The map carries
-    right lines 1-3 onto left lines 1-3, so a right point on a right
-    triangle line lands on that same left line and a vertex on a vertex;
-    every new incidence is then an honest double point.
+    A vertex is a singular point with two of lines 1-3 through it. Left
+    points are tested against the images of the unshared right lines, and
+    right points, taken as cross products of the kept images (the map keeps
+    incidences, and scale does not matter), against the unshared left
+    lines. The map carries right lines 1-3 onto left lines 1-3, so every
+    new incidence is an honest double point.
     """
     if not check_gluing(spec):
         return False
-    left_tail = [line.coeffs for line in spec.left.lines[3:]]
-    image_tail = [line.coeffs for line in spec._images[3:]]
+    left_lines = [line.coeffs for line in spec.left.lines]
+    image_lines = [line.coeffs for line in spec._images]
     return not (
-        _point_on_tail(spec.right, left_tail, spec.map.rows)
-        or _point_on_tail(spec.left, image_tail)
+        _point_on_tail(spec.right, image_lines, left_lines[3:])
+        or _point_on_tail(spec.left, left_lines, image_lines[3:])
     )
 
 
-def _point_on_tail(arr: Arrangement, tail, rows=None) -> bool:
-    """Whether a singular point of ``arr`` other than a triangle vertex,
-    mapped by the matrix ``rows`` when given, lies on a line of ``tail``.
-    Each point is the unnormalized cross product of two of its lines."""
-    lines = [line.coeffs for line in arr.lines]
+def _point_on_tail(arr: Arrangement, lines, tail) -> bool:
+    """Whether a singular point of ``arr`` other than a triangle vertex lies
+    on a line of ``tail``; the point is the cross product of two of
+    ``lines``, the lines of ``arr`` or their images under a map."""
     # each group is sorted, so its second line is one of 1-3 at a vertex
     for a, b, *_ in _point_groups(arr):
         if b <= 3:
             continue
         point = _cross(lines[a - 1], lines[b - 1])
-        if rows is not None:
-            point = tuple(dot(row, point) for row in rows)
         if any(dot(point, line).is_zero() for line in tail):
             return True
     return False
@@ -200,14 +185,25 @@ def find_generic_gluing(
         raise ValueError(
             f"cyclotomic orders differ ({left.order} vs {right.order}); lift first"
         )
-    m_left = _triangle_normalization(left)
-    m_right_inv = _triangle_normalization(right).inverse()
+    f_left, f_right = _frame(left), _frame(right)
+    w_left, w_right = _weights(left, f_left), _weights(right, f_right)
+    # the left vertices f2 x f3, f3 x f1, f1 x f2: the columns of adj(F_L)
+    vertices = [_cross(f_left[i - 2], f_left[i - 1]) for i in range(3)]
+    d = [w_left[i] * w_right[i - 2] * w_right[i - 1] for i in range(3)]
+    # lead(v_R) / (lead(v_L) d0 det F_R), lead the first nonzero entry of
+    # the vertex v of lines 2 and 3, which the canonical form scales to 1
+    v_right = _cross(f_right[1], f_right[2])
+    lead_left, lead_right = (next(x for x in v if x) for v in (vertices[0], v_right))
+    scale = lead_right * (lead_left * d[0] * dot(f_right[0], v_right)).inverse()
+    head = [[v[r] * x * scale for v, x in zip(vertices, d)] for r in range(3)]
+    columns = list(zip(*f_right))
     pairs = _prime_pairs()
     for _ in range(max_candidates):
         s, t = next(pairs)
-        # m_left diag(1, s, t): columns 2 and 3 of m_left scaled by s and t
-        scaled = ProjMap([(a, b * s, c * t) for a, b, c in m_left.rows])
-        phi = scaled.compose(m_right_inv)
+        # adj(F_L) diag(d0, s d1, t d2) F_R, scaled
+        phi = ProjMap(
+            [[dot((a, b * s, c * t), col) for col in columns] for a, b, c in head]
+        )
         spec = GluingSpec(left, right, phi, parameter=(s, t))
         if check_gluing(spec) and check_generic(spec):
             return spec

@@ -12,7 +12,7 @@ nothing here computes topology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Literal, Optional
 
 from .characters import Character, is_inner_cyclic_def
@@ -53,8 +53,16 @@ class LedgerEntry:
                 f"value lives at order {self.value.order}, "
                 f"character at modulus {self.character.modulus}"
             )
-        if self.value.as_root_of_unity() is None:
+        # I(A, xi, gamma) is xi of a homology class: a power of zeta^g
+        k = self.value.as_root_of_unity()
+        g = gcd(self.character.modulus, *self.character.exponents)
+        if k is None:
             problems.append(f"value {self.value} is not a power of zeta")
+        elif self.value.order == self.character.modulus and k % g:
+            problems.append(
+                f"value {self.value} is not in the image of the character, "
+                f"the powers of zeta^{g}"
+            )
         try:
             if not is_inner_cyclic_def(
                 self.character.base, self.character, self.cycle
@@ -94,6 +102,11 @@ class LedgerEntry:
                     "was supplied"
                 )
             base = Combinatorics.from_obj(obj["combinatorics"])
+            problems = base.validate().messages()
+            if problems:
+                raise ValueError(
+                    f"entry {obj['id']!r}: invalid combinatorics: {problems[0]}"
+                )
         character = Character.from_obj(obj, base)
         i, j, k = obj["cycle"]
         cycle = triangle_cycle(base, i, j, k)

@@ -64,6 +64,18 @@ def assert_malformed(code, out, err):
     assert err.startswith("zarpair: error:") and err.count("\n") == 1
 
 
+# A ledger entry on the bare triangle, under the trivial character mod 3.
+TRIANGLE_ENTRY = {
+    "id": "T",
+    "modulus": 3,
+    "exponents": [0, 0, 0],
+    "cycle": [1, 2, 3],
+    "value": "1",
+    "provenance": "published: test",
+    "combinatorics": {"lines": ["a", "b", "c"], "points": [[1, 2], [1, 3], [2, 3]]},
+}
+
+
 @pytest.fixture()
 def seed_file(tmp_path, capsys):
     code, out, _ = invoke(capsys, "catalog", "ledger-seed")
@@ -414,7 +426,7 @@ class TestZariski:
         assert "unrecognized arguments: --aut-trivial" in err
 
     def test_triangle_in_another_traversal_order(self, capsys, tmp_path, seed_file):
-        entries = json.loads(open(seed_file).read())
+        entries = json.loads(Path(seed_file).read_text())
         assert entries[0]["id"] == "M+"
         entries[0]["cycle"] = [3, 1, 2]
         path = write(tmp_path, "permuted.json", entries)
@@ -425,7 +437,7 @@ class TestZariski:
 
     def test_inconclusive_exits_one(self, capsys, tmp_path, seed_file):
         # doctor the seed: a real value (1) for the M+ entry
-        entries = json.loads(open(seed_file).read())
+        entries = json.loads(Path(seed_file).read_text())
         entries[0]["value"] = "1"
         path = write(tmp_path, "real.json", entries)
         entry_id = entries[0]["id"]
@@ -476,6 +488,25 @@ class TestZariski:
     def test_malformed_ledger_exits_two_in_one_line(self, capsys, tmp_path, obj):
         path = write(tmp_path, "bad.json", obj)
         assert_malformed(*invoke(capsys, "zariski", "--ledger", path, "--entry", "M+"))
+
+    def test_value_outside_the_character_image_exits_two(self, capsys, tmp_path):
+        """The trivial character sends every class to 1, so a published z
+        cannot be its value."""
+        entry = dict(TRIANGLE_ENTRY, exponents=[0, 0, 0], value="z")
+        path = write(tmp_path, "image.json", [entry])
+        code, out, err = invoke(capsys, "zariski", "--ledger", path, "--entry", "T")
+        assert_malformed(code, out, err)
+        assert "value z is not in the image of the character" in err
+
+    @pytest.mark.parametrize("command", [["invariant", "conj"], ["zariski"]])
+    def test_invalid_embedded_combinatorics_exits_two(self, capsys, tmp_path, command):
+        """Pair (1,2) lies in two points; the entry is refused as it is read."""
+        comb = {"lines": ["a", "b", "c"], "points": [[1, 2], [1, 3], [2, 3], [1, 2, 3]]}
+        entry = dict(TRIANGLE_ENTRY, combinatorics=comb, value="1")
+        path = write(tmp_path, "invalid.json", [entry])
+        code, out, err = invoke(capsys, *command, "--ledger", path, "--entry", "T")
+        assert_malformed(code, out, err)
+        assert "invalid combinatorics: line pair (1,2) lies in more than one point" in err
 
 
 class TestUsage:

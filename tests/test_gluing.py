@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -39,7 +40,6 @@ from zarpair.gluing import (
     GluingSearchExhausted,
     GluingSpec,
     _prime_pairs,
-    _triangle_normalization,
     check_generic,
     check_gluing,
     find_generic_gluing,
@@ -605,6 +605,31 @@ def lifted(arr, order):
     ])
 
 
+def reference_find_generic_gluing(left, right, max_candidates=200):
+    """The earlier candidate search, kept verbatim as a reference but for
+    the reference normalization: it normalizes both triangles, inverts the
+    right normalization and composes two maps per candidate."""
+    if left.order != right.order:
+        raise ValueError(
+            f"cyclotomic orders differ ({left.order} vs {right.order}); lift first"
+        )
+    m_left = reference_triangle_normalization(left)
+    m_right_inv = reference_triangle_normalization(right).inverse()
+    pairs = _prime_pairs()
+    for _ in range(max_candidates):
+        s, t = next(pairs)
+        # m_left diag(1, s, t): columns 2 and 3 of m_left scaled by s and t
+        scaled = ProjMap([(a, b * s, c * t) for a, b, c in m_left.rows])
+        phi = scaled.compose(m_right_inv)
+        spec = GluingSpec(left, right, phi, parameter=(s, t))
+        if check_gluing(spec) and check_generic(spec):
+            return spec
+    raise GluingSearchExhausted(
+        f"no generic gluing within {max_candidates} diagonal candidates; "
+        "extend the parameter sequence"
+    )
+
+
 def normalization_input(seed, order):
     """M+, M- or random lines at ``order``, sometimes with line 3 put
     through the point of lines 1 and 2 or cut to one or two lines, then
@@ -641,29 +666,53 @@ def normalization_branch(arr):
     return "lines 4 and 5 meet off the triangle"
 
 
-def assert_same_normalization(arr):
-    """Equal rows, or the same type of exception, as the reference."""
-    assert decide(lambda a: _triangle_normalization(a).rows, arr) == decide(
-        lambda a: reference_triangle_normalization(a).rows, arr
-    )
+def partner(seed, order):
+    """M+ or M- at ``order``, moved by a random map: a side with a triangle
+    to glue ``normalization_input(seed, order)`` to."""
+    rng = random.Random(-1 - seed)
+    arr = lifted(extended_maclane_realization(rng.choice("+-")), order)
+    return apply_map(arr, random_invertible_map(rng, order, rng.random() < 0.5))
+
+
+def found(search, left, right):
+    """The map and parameter that ``search`` finds within twelve candidates,
+    which keep an exhausted search cheap."""
+    spec = search(left, right, max_candidates=12)
+    return spec.map, spec.parameter
+
+
+def assert_same_search(arr, other):
+    """In both directions, the search finds what the reference finds, or
+    raises the same type of exception."""
+    for left, right in ((arr, other), (other, arr)):
+        outcome = partial(found, left=left, right=right)
+        assert decide(outcome, find_generic_gluing) == decide(
+            outcome, reference_find_generic_gluing
+        )
 
 
 class TestNormalizationParity:
-    """The frame normalization F^-1 diag(F ref) builds the matrix the
-    reference builds, or raises the same type of exception."""
+    """The frame formula adj(F_L) diag(d0, s d1, t d2) F_R builds the map the
+    reference search builds from normalizations, an inverse and compositions,
+    or raises the same type of exception; the input side goes through every
+    branch of the reference normalization."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 12]))
     def test_random_arrangements(self, seed, order):
-        assert_same_normalization(normalization_input(seed, order))
+        assert_same_search(normalization_input(seed, order), partner(seed, order))
 
-    def test_every_branch_is_reached(self, m_plus, m_minus):
-        arrs = [m_plus, m_minus, lifted(m_plus, 12)] + [
-            normalization_input(seed, order) for seed in range(30) for order in (3, 12)
+    def test_every_branch_is_reached(self, m_plus, m_minus, r15):
+        # (R15, M+) turns down (2, 3) and (2, 5) before it settles on (3, 5)
+        cases = [(m_plus, m_minus), (r15, m_plus), (lifted(m_plus, 12), partner(0, 12))]
+        cases += [
+            (normalization_input(seed, order), partner(seed, order))
+            for seed in range(30)
+            for order in (3, 12)
         ]
         reached = set()
-        for arr in arrs:
-            assert_same_normalization(arr)
+        for arr, other in cases:
+            assert_same_search(arr, other)
             reached.add(normalization_branch(arr))
         assert normalization_branch(m_plus) == "lines 4 and 5 meet on the triangle"
         assert reached == {
@@ -673,6 +722,15 @@ class TestNormalizationParity:
             "lines 4 and 5 meet on the triangle",
             "lines 4 and 5 meet off the triangle",
         }
+
+    def test_one_inverse_per_search_and_image_line(self, m_plus, m_minus, monkeypatch):
+        """The search scales d with one inverse; each candidate's image lines
+        take one each: 1 + 9 on M+ glued to M-, found at the first
+        candidate (3 + 9 with the two normalizations and the inverse map)."""
+        calls = count_inverses(monkeypatch)
+        spec = find_generic_gluing(m_plus, m_minus)
+        assert spec.parameter == (2, 3)
+        assert calls[0] == 1 + m_minus.n_lines == 10
 
 
 @st.composite

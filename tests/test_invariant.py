@@ -1,5 +1,6 @@
 """Ledger rules: registration, multiplicativity, conjugation, verdicts."""
 
+import math
 import random
 
 import pytest
@@ -82,6 +83,34 @@ class TestRegister:
         )
         with pytest.raises(ValueError, match="power of zeta"):
             Ledger().register(entry)
+
+    def test_value_outside_the_character_image_rejected(self):
+        """Exponents 0, 2 and 4 mod 6 reach only the even powers of zeta_6;
+        derived entries of image values stay in the image."""
+        zeta = CycloNum.zeta(6)
+        for k in range(6):
+            entry = fan_entry("f", 6, 2, zeta**k)
+            if k % 2:
+                assert entry.check() == [
+                    f"value {zeta**k} is not in the image of the character, "
+                    "the powers of zeta^2"
+                ]
+                with pytest.raises(ValueError, match="not in the image"):
+                    Ledger().register(entry)
+            else:
+                glued = invariant_of_glued(entry, entry)
+                Ledger([entry, invariant_of_conjugate(entry), glued])
+
+    def test_invalid_embedded_combinatorics_rejected(self):
+        obj = fan_entry("f", 3, 1, CycloNum.one(3)).to_obj()
+        LedgerEntry.from_obj(obj)
+        obj["combinatorics"]["points"].append([1, 2, 3])
+        with pytest.raises(
+            ValueError,
+            match=r"entry 'f': invalid combinatorics: line pair \(1,2\) lies in "
+            "more than one point",
+        ):
+            LedgerEntry.from_obj(obj)
 
     def test_round_trip(self, ledger):
         again = Ledger.from_obj(ledger.to_obj())
@@ -286,14 +315,21 @@ def test_nonreal_roots_have_nontrivial_square():
             assert v * v != CycloNum.one(m)
 
 
+def image_value(rng, char):
+    """A random value in the image of ``char``: a power of zeta^g, with g the
+    gcd of the modulus and the exponents."""
+    g = math.gcd(char.modulus, *char.exponents)
+    return CycloNum.zeta(char.modulus, g * rng.randrange(char.modulus // g))
+
+
 def test_derived_entries_satisfy_ledger_invariants():
     """The glued entry re-verifies, never trusts, its own soundness."""
     rng = random.Random(41)
     for _ in range(20):
         comb_a, char_a = random_inner_cyclic(rng)
         comb_b, char_b = random_inner_cyclic(rng)
-        value_a = CycloNum.zeta(char_a.modulus, rng.randrange(char_a.modulus))
-        value_b = CycloNum.zeta(char_b.modulus, rng.randrange(char_b.modulus))
+        value_a = image_value(rng, char_a)
+        value_b = image_value(rng, char_b)
         left = LedgerEntry(
             "a", char_a, triangle_cycle(comb_a, 1, 2, 3), value_a, "published", "x"
         )
