@@ -14,7 +14,6 @@ signed rational-coefficient polynomials in the symbol ``z``, e.g. ``"1"``,
 
 from __future__ import annotations
 
-import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -156,14 +155,26 @@ def _nth_residue_map(order: int, index: int, floor: int) -> _ResidueMap:
     return _ResidueMap(order, p)
 
 
+@lru_cache(maxsize=64)
+def _fold_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row j is the nonzero entries of z^j mod Phi_n as (index, value) pairs."""
+    return tuple(
+        tuple((i, b) for i, b in enumerate(row) if b) for row in _powers(n)
+    )
+
+
 def _fold(n: int, raw: Sequence[int]) -> tuple[int, ...]:
     """Integers indexed by exponent, of any length, reduced mod Phi_n."""
-    rows = _powers(n)
-    phi = len(rows[0])
-    out = list(raw[:phi]) + [0] * (phi - len(raw))
+    phi = euler_phi(n)
+    if len(raw) <= phi:
+        return tuple(raw) + (0,) * (phi - len(raw))
+    rows = _fold_rows(n)
+    out = list(raw[:phi])
     for k in range(phi, len(raw)):
-        if raw[k]:
-            out = [a + raw[k] * b for a, b in zip(out, rows[k % n])]
+        c = raw[k]
+        if c:
+            for i, b in rows[k % n]:
+                out[i] += c * b
     return tuple(out)
 
 
@@ -179,9 +190,9 @@ def _new(order: int, num: Sequence[int], den: int) -> "CycloNum":
     """The element num / den (den > 0) at ``order``, in canonical form."""
     g = gcd(den, *num) if den != 1 else 1
     x = object.__new__(CycloNum)
-    object.__setattr__(x, "order", order)
-    object.__setattr__(x, "_num", tuple(num) if g == 1 else tuple([c // g for c in num]))
-    object.__setattr__(x, "_den", den // g)
+    _set_order(x, order)
+    _set_num(x, tuple(num) if g == 1 else tuple([c // g for c in num]))
+    _set_den(x, den // g)
     return x
 
 
@@ -189,7 +200,8 @@ def _sum_of_products(terms: Sequence[tuple[int, "CycloNum", "CycloNum"]]) -> "Cy
     """sum(sign * x * y) over ``terms`` of (sign, x, y), with one fold and one gcd.
 
     Each product's numerators are scaled to the lcm of the products'
-    denominators, so every convolution lands in one integer buffer.
+    denominators, so every convolution lands in one integer buffer; when
+    every denominator is 1 there is nothing to scale.
     """
     first = terms[0][1]
     order, den = first.order, 1
@@ -197,16 +209,22 @@ def _sum_of_products(terms: Sequence[tuple[int, "CycloNum", "CycloNum"]]) -> "Cy
         if x.order != order or y.order != order:
             other = y.order if x.order == order else x.order
             raise ValueError(f"order mismatch: {order} vs {other}; lift first")
-        den = lcm(den, x._den * y._den)
+        d = x._den * y._den
+        if d != 1:
+            den = lcm(den, d)
     raw = [0] * (2 * len(first._num) - 1)
     for sign, x, y in terms:
-        scale = sign * den // (x._den * y._den)
+        scale = sign if den == 1 else sign * den // (x._den * y._den)
         ys = y._num
-        for i, c in enumerate(x._num):
+        i = 0
+        for c in x._num:
             if c:
                 c *= scale
-                for j, d in enumerate(ys, i):
+                j = i
+                for d in ys:
                     raw[j] += c * d
+                    j += 1
+            i += 1
     return _new(order, _fold(order, raw), den)
 
 
@@ -407,11 +425,6 @@ class CycloNum:
         """The exponent k with self == zeta_n^k, or None if self is no such power."""
         return _roots(self.order).get(self._num) if self._den == 1 else None
 
-    def approx(self) -> complex:
-        """Floating-point embedding (reporting only, never used in logic)."""
-        z = cmath.exp(2j * cmath.pi / self.order)
-        return sum(float(c) * z**k for k, c in enumerate(self.coeffs))
-
     # -- protocol ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -432,6 +445,12 @@ class CycloNum:
 
     def __repr__(self):
         return f"CycloNum({self.order}, {format_cyclo(self)!r})"
+
+
+# _new fills the slots through their descriptors, past CycloNum.__setattr__.
+_set_order, _set_num, _set_den = (
+    CycloNum.__dict__[slot].__set__ for slot in CycloNum.__slots__
+)
 
 
 # -- textual grammar ---------------------------------------------------------

@@ -27,7 +27,10 @@ check_generic includes check_gluing; the search still calls both on each
 candidate, so a tracer sees which of the two turned a candidate down.
 check_generic takes no inverse: every point is the unnormalized cross
 product of two lines, right points of two kept images, and lies on a line
-exactly when their dot product is zero.
+exactly when their dot product is zero. That product is tested in F_p
+first, where a nonzero residue proves the point off the line; only a zero
+residue, or none, is confirmed by the exact dot product. A search groups
+the points of each side once and shares the groups with its candidates.
 """
 
 from __future__ import annotations
@@ -38,8 +41,15 @@ from math import lcm
 
 from .characters import Character
 from .combinatorics import Combinatorics, NoTriangleError, triangle_cycle
-from .cyclotomic import CycloNum, dot
-from .realization import Arrangement, ProjLine, ProjMap, _cross, _point_groups
+from .cyclotomic import CycloNum, _residue_map, dot
+from .realization import (
+    Arrangement,
+    ProjLine,
+    ProjMap,
+    _cross,
+    _cross_mod,
+    _point_groups,
+)
 
 __all__ = [
     "GluingSpec",
@@ -68,6 +78,9 @@ class GluingSpec:
     parameter: tuple[int, int] | None = None  # (s, t) when found by search
     # the images of the right lines under the map, shared by every check
     _images: tuple[ProjLine, ...] = field(init=False, repr=False, compare=False)
+    # the point groups of the left and right sides, made once by a search
+    # for all its candidates; check_generic groups both sides without them
+    _groups: tuple | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
         images = tuple(self.map.apply_line(line) for line in self.right.lines)
@@ -152,28 +165,50 @@ def check_generic(spec: GluingSpec) -> bool:
     incidences, and scale does not matter), against the unshared left
     lines. The map carries right lines 1-3 onto left lines 1-3, so every
     new incidence is an honest double point.
+
+    Each (point, line) pair is tested in F_p first, by the first residue
+    map Q(zeta_n) -> F_p (``cyclotomic._residue_map``): a nonzero residue of
+    the dot product proves the point off the line, since the map is a ring
+    homomorphism. Only a zero residue, or none (p divides a denominator),
+    is settled by the exact dot product, so no answer rests on a
+    fingerprint.
     """
     if not check_gluing(spec):
         return False
-    left_lines = [line.coeffs for line in spec.left.lines]
-    image_lines = [line.coeffs for line in spec._images]
+    res = _residue_map(spec.left.order, 0)
+    left = [(line.coeffs, res.vector(line.coeffs)) for line in spec.left.lines]
+    images = [(line.coeffs, res.vector(line.coeffs)) for line in spec._images]
+    groups_left, groups_right = spec._groups or (
+        _point_groups(spec.left), _point_groups(spec.right)
+    )
     return not (
-        _point_on_tail(spec.right, image_lines, left_lines[3:])
-        or _point_on_tail(spec.left, left_lines, image_lines[3:])
+        _point_on_tail(groups_right, images, left[3:], res.p)
+        or _point_on_tail(groups_left, left, images[3:], res.p)
     )
 
 
-def _point_on_tail(arr: Arrangement, lines, tail) -> bool:
-    """Whether a singular point of ``arr`` other than a triangle vertex lies
-    on a line of ``tail``; the point is the cross product of two of
-    ``lines``, the lines of ``arr`` or their images under a map."""
+def _point_on_tail(groups, lines, tail, p: int) -> bool:
+    """Whether a point of ``groups`` other than a triangle vertex lies on a
+    line of ``tail``; the point is the cross product of two of ``lines``,
+    the lines of an arrangement or their images under a map. Lines come as
+    (coefficients, F_p image or None) pairs."""
     # each group is sorted, so its second line is one of 1-3 at a vertex
-    for a, b, *_ in _point_groups(arr):
+    for a, b, *_ in groups:
         if b <= 3:
             continue
-        point = _cross(lines[a - 1], lines[b - 1])
-        if any(dot(point, line).is_zero() for line in tail):
-            return True
+        (u, u_mod), (v, v_mod) = lines[a - 1], lines[b - 1]
+        x = None if u_mod is None or v_mod is None else _cross_mod(u_mod, v_mod, p)
+        point = None
+        for line, l_mod in tail:
+            if (
+                x is not None and l_mod is not None
+                and (x[0] * l_mod[0] + x[1] * l_mod[1] + x[2] * l_mod[2]) % p
+            ):
+                continue  # a nonzero residue: off the line
+            if point is None:
+                point = _cross(u, v)
+            if dot(point, line).is_zero():
+                return True
     return False
 
 
@@ -197,6 +232,7 @@ def find_generic_gluing(
     scale = lead_right * (lead_left * d[0] * dot(f_right[0], v_right)).inverse()
     head = [[v[r] * x * scale for v, x in zip(vertices, d)] for r in range(3)]
     columns = list(zip(*f_right))
+    groups = (_point_groups(left), _point_groups(right))
     pairs = _prime_pairs()
     for _ in range(max_candidates):
         s, t = next(pairs)
@@ -204,7 +240,7 @@ def find_generic_gluing(
         phi = ProjMap(
             [[dot((a, b * s, c * t), col) for col in columns] for a, b, c in head]
         )
-        spec = GluingSpec(left, right, phi, parameter=(s, t))
+        spec = GluingSpec(left, right, phi, parameter=(s, t), _groups=groups)
         if check_gluing(spec) and check_generic(spec):
             return spec
     raise GluingSearchExhausted(

@@ -9,11 +9,13 @@ Random triangular inner-cyclic pairs are built by construction: two fans of
 k lines through two points of line 1 with exponents e and -e, matched up
 across lines 2 and 3 by two disjoint pairings.
 The exact pair-by-pair point grouping lives here as the oracle for the
-library's fingerprinted one.
+library's fingerprinted one, and the floating-point embedding of a
+cyclotomic number as a numeric oracle; the library has no floating point.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -25,6 +27,12 @@ from zarpair.characters import Character
 from zarpair.combinatorics import Combinatorics
 from zarpair.cyclotomic import CycloNum
 from zarpair.realization import Arrangement, ProjLine, ProjMap, ProjPoint, intersect
+
+
+def approx(x: CycloNum) -> complex:
+    """The floating-point embedding of x, with zeta_n -> exp(2 pi i / n)."""
+    z = cmath.exp(2j * cmath.pi / x.order)
+    return sum(float(c) * z**k for k, c in enumerate(x.coeffs))
 
 
 def grow_points(

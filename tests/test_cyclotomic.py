@@ -5,15 +5,20 @@ embedding, which is independent of the reduction path.
 """
 
 import time
+from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd, lcm
+from unittest.mock import patch
 
 import pytest
 import sympy
-from genutil import cyclo_text
+from genutil import approx, cyclo_text
 from hypothesis import example, given, settings, strategies as st
 
+from zarpair import cyclotomic
 from zarpair.cyclotomic import (
     CycloNum,
+    _powers,
     _residue_map,
     cyclotomic_polynomial,
     det2,
@@ -27,7 +32,7 @@ Z3 = CycloNum.zeta(3)
 
 
 def close(x: CycloNum, value: complex, tol: float = 1e-9) -> bool:
-    return abs(x.approx() - value) < tol
+    return abs(approx(x) - value) < tol
 
 
 class TestConstruction:
@@ -72,7 +77,7 @@ class TestArithmetic:
     def test_product_one_plus_zeta_times_minus_zeta(self):
         # oracle: numeric embedding of (1 + zeta) * (-zeta)
         product = (1 + Z3) * (-Z3)
-        assert close(product, (1 + Z3.approx()) * (-Z3.approx()))
+        assert close(product, (1 + approx(Z3)) * (-approx(Z3)))
         assert product == CycloNum.one(3)
 
     def test_inverse_of_zero_fails(self):
@@ -255,7 +260,7 @@ def test_format_parse_round_trip(x):
 
 @given(cyclo_numbers())
 def test_numeric_embedding_tracks_conjugation(x):
-    assert abs(x.conjugate().approx() - x.approx().conjugate()) < 1e-9
+    assert abs(approx(x.conjugate()) - approx(x).conjugate()) < 1e-9
 
 
 # -- the grammar against an arithmetic oracle ---------------------------------
@@ -403,6 +408,133 @@ def test_kernel_order_mismatch_raises():
     ):
         with pytest.raises(ValueError, match="order mismatch"):
             call()
+
+
+# -- the kernel against its earlier form ---------------------------------------
+
+
+def reference_fold(n, raw):
+    """The earlier _fold, kept verbatim as a reference."""
+    rows = _powers(n)
+    phi = len(rows[0])
+    out = list(raw[:phi]) + [0] * (phi - len(raw))
+    for k in range(phi, len(raw)):
+        if raw[k]:
+            out = [a + raw[k] * b for a, b in zip(out, rows[k % n])]
+    return tuple(out)
+
+
+def reference_new(order, num, den):
+    """The earlier _new, kept verbatim as a reference."""
+    g = gcd(den, *num) if den != 1 else 1
+    x = object.__new__(CycloNum)
+    object.__setattr__(x, "order", order)
+    object.__setattr__(x, "_num", tuple(num) if g == 1 else tuple([c // g for c in num]))
+    object.__setattr__(x, "_den", den // g)
+    return x
+
+
+def reference_sum_of_products(terms):
+    """The earlier _sum_of_products, kept verbatim as a reference."""
+    first = terms[0][1]
+    order, den = first.order, 1
+    for _, x, y in terms:
+        if x.order != order or y.order != order:
+            other = y.order if x.order == order else x.order
+            raise ValueError(f"order mismatch: {order} vs {other}; lift first")
+        den = lcm(den, x._den * y._den)
+    raw = [0] * (2 * len(first._num) - 1)
+    for sign, x, y in terms:
+        scale = sign * den // (x._den * y._den)
+        ys = y._num
+        for i, c in enumerate(x._num):
+            if c:
+                c *= scale
+                for j, d in enumerate(ys, i):
+                    raw[j] += c * d
+    return reference_new(order, reference_fold(order, raw), den)
+
+
+@contextmanager
+def reference_kernel():
+    """Run the block on the reference kernel: every product, dot, det2,
+    inverse and construction goes through it."""
+    with patch.multiple(
+        cyclotomic,
+        _fold=reference_fold,
+        _new=reference_new,
+        _sum_of_products=reference_sum_of_products,
+    ):
+        yield
+
+
+def canonical(x):
+    return (x.order, x._num, x._den)
+
+
+@st.composite
+def parity_operands(draw):
+    """An order in {1, 2, 3, 4, 5, 7, 12}, eight elements of it (zeros,
+    negative and non-unit-denominator coefficients, integer ones) and an
+    unreduced integer coefficient list up to twice the order long."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 12]))
+    phi = euler_phi(n)
+    integral = st.lists(st.integers(-3, 3), min_size=phi, max_size=phi).map(
+        lambda c: CycloNum(n, c)
+    )
+    element = st.just(CycloNum.zero(n)) | integral | cyclo_numbers(order=n)
+    raw = draw(st.lists(st.integers(-3, 3), max_size=2 * n))
+    return n, [draw(element) for _ in range(8)], raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(parity_operands(), st.integers(1, 4))
+def test_kernel_matches_its_reference(operands, k):
+    """dot on 1-4 terms, det2, *, inverse, construction and conjugation
+    give the reference kernel's canonical form."""
+    n, xs, raw = operands
+    a, b, c, d = xs[:4]
+
+    def results():
+        out = [dot(xs[:k], xs[4:4 + k]), det2(a, b, c, d), a * b, CycloNum(n, raw)]
+        out += [a.conjugate(), b.lift(2 * n)]
+        out += [x.inverse() for x in (a, d) if not x.is_zero()]
+        return [canonical(x) for x in out]
+
+    with reference_kernel():
+        expected = results()
+    assert results() == expected
+
+
+def test_kernel_matches_its_reference_on_mixed_orders():
+    z3, z4 = CycloNum.zeta(3), CycloNum(4, [1, Fraction(-1, 2)])
+    for call in (
+        lambda: dot([z3, z3], [z3, z4]),
+        lambda: dot([z4], [z3]),
+        lambda: det2(z3, z3, z3, z4),
+        lambda: det2(z4, z3, z3, z3),
+        lambda: z3 * z4,
+    ):
+        with pytest.raises(ValueError) as live:
+            call()
+        with reference_kernel(), pytest.raises(ValueError) as reference:
+            call()
+        assert str(live.value) == str(reference.value)
+
+
+def test_kernel_matches_sympy_at_larger_orders():
+    """A few products and dots at orders 5, 7 and 12 against sympy."""
+    for n in (5, 7, 12):
+        x = CycloNum(n, [Fraction(1, 2), -3, 0, Fraction(-2, 3)])
+        y = CycloNum(n, [0, Fraction(5, 4), 0, 1])
+        z = CycloNum(n, [-1] * euler_phi(n))
+        assert x * y == sympy_value(n, to_sympy(x) * to_sympy(y))
+        assert dot([x, y, z], [z, x, y]) == sympy_value(
+            n, to_sympy(x) * to_sympy(z) + to_sympy(y) * to_sympy(x) + to_sympy(z) * to_sympy(y)
+        )
+        assert det2(x, y, z, x) == sympy_value(
+            n, to_sympy(x) ** 2 - to_sympy(y) * to_sympy(z)
+        )
 
 
 def test_dot_needs_non_empty_sequences_of_one_length():

@@ -35,7 +35,7 @@ from zarpair.combinatorics import (
     ordered_equal,
     triangle_cycle,
 )
-from zarpair.cyclotomic import CycloNum, _residue_map
+from zarpair.cyclotomic import CycloNum, _residue_map, dot
 from zarpair.gluing import (
     GluingSearchExhausted,
     GluingSpec,
@@ -293,6 +293,25 @@ class TestFindGenericGluing:
         spec = find_generic_gluing(triangle_arrangement(), triangle_arrangement())
         assert check_generic(spec)
         assert spec.parameter == (2, 3)  # nothing to collide: first pair works
+
+    def test_each_side_grouped_once_per_search(self, r15, m_plus, monkeypatch):
+        """The search groups each side's points once and shares the groups
+        with its candidates, including one that check_generic rejects."""
+        grouped, answers = [], []
+
+        def grouping(arr):
+            grouped.append(arr)
+            return realization._point_groups(arr)
+
+        def generic(spec):
+            answers.append(check_generic(spec))
+            return answers[-1]
+
+        monkeypatch.setattr(gluing, "_point_groups", grouping)
+        monkeypatch.setattr(gluing, "check_generic", generic)
+        find_generic_gluing(r15, m_plus)
+        assert answers[0] is False and answers[-1] is True
+        assert sorted(map(id, grouped)) == sorted([id(r15), id(m_plus)])
 
     def test_exhaustion_is_reported(self, m_plus):
         with pytest.raises(GluingSearchExhausted):
@@ -594,6 +613,42 @@ class TestGenericParityOfTheGrouping:
         calls = count_inverses(monkeypatch)
         assert check_generic(spec_pm)
         assert calls[0] == 0
+
+    def test_no_exact_point_line_dot(self, spec_pm, monkeypatch):
+        """check_generic on the found (M+, M-) gluing settles every
+        (point, tail line) pair by a nonzero residue: its only exact dots at
+        the gluing level are the two frame determinants of check_gluing."""
+        dots = record_gluing_dots(monkeypatch)
+        assert check_gluing(spec_pm)
+        assert len(dots) == 2
+        dots.clear()
+        assert check_generic(spec_pm)
+        assert len(dots) == 2
+
+    def test_zero_residues_fall_back_to_exact(self, spec_pm, monkeypatch):
+        """At the prime 7 non-incident (point, line) pairs get zero residues;
+        each is settled by its exact dot product, which is nonzero, and the
+        answer stays the reference's."""
+        monkeypatch.setattr(cyclotomic, "_PRIME_FLOOR", 6)
+        assert _residue_map(3, 0).p == 7
+        # a spec of its own carries no groups from the search: it is grouped at 7
+        spec = GluingSpec(spec_pm.left, spec_pm.right, spec_pm.map)
+        dots = record_gluing_dots(monkeypatch)
+        assert check_generic(spec) and reference_check_generic(spec)
+        exact = dots[2:]  # after the frame determinants
+        assert exact and not any(x.is_zero() for x in exact)
+
+
+def record_gluing_dots(monkeypatch) -> list:
+    """Wrap the ``dot`` that gluing calls; the list collects the results."""
+    results = []
+
+    def recorded(xs, ys):
+        results.append(dot(xs, ys))
+        return results[-1]
+
+    monkeypatch.setattr(gluing, "dot", recorded)
+    return results
 
 
 def lifted(arr, order):
